@@ -19,9 +19,9 @@ from .kb import (
 from .homomorphism import (
     Substitution,
     apply_to_atom,
+    cover,
     find_homomorphism,
     homomorphisms,
-    more_general,
 )
 
 
@@ -174,14 +174,14 @@ def verify_rewriting_set(
     ground seeds so the ground truth stays decidable at the chosen rank.
     """
     rules = list(rules)
-    cover = sorted(result.cover, key=ConjunctiveQuery.sort_key)
+    ucq = sorted(result.cover, key=ConjunctiveQuery.sort_key)
     depth = result.depth_reached
     base_rank = 2 * depth + 2
 
     report: dict = {"sound": True, "rewritings": [], "minimal": True,
                     "complete_sampled": True, "counterexamples": []}
 
-    for qi in cover:
+    for qi in ucq:
         verdict = entails(freeze_query(qi), rules, q, base_rank)
         if not verdict.is_yes:  # retry once with a doubled rank before failing
             verdict = entails(freeze_query(qi), rules, q, 2 * base_rank)
@@ -191,10 +191,8 @@ def verify_rewriting_set(
         if not verdict.is_yes:
             report["sound"] = False
 
-    for i, a in enumerate(cover):
-        for b in cover[i + 1:]:
-            if more_general(a, b) or more_general(b, a):
-                report["minimal"] = False
+    # pairwise incomparable iff its own cover keeps every query
+    report["minimal"] = len(cover(explored=ucq, fresh=[])) == len(ucq)
 
     if result.terminated:
         rng = random.Random(seed)
@@ -214,7 +212,7 @@ def verify_rewriting_set(
             fact_bases.extend(frozenset(f) for f in extra_facts)
         for f in fact_bases:
             if entails(f, rules, q, base_rank).is_yes:
-                if not any(find_homomorphism(qi.atoms, f) is not None for qi in cover):
+                if not any(find_homomorphism(qi.atoms, f) is not None for qi in ucq):
                     report["complete_sampled"] = False
                     report["counterexamples"].append(
                         sorted(str(a) for a in sorted_atoms(f)))

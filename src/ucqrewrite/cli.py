@@ -12,7 +12,7 @@ import time
 from typing import Optional
 
 from .chase import verify_rewriting_set
-from .dlgp import DlgpError, parse_document, query_to_dlgp, result_stats, serialize
+from .dlgp import DlgpError, parse_document, query_to_dlgp, result_stats
 from .kb import (
     ConjunctiveQuery,
     FreshCounter,
@@ -36,8 +36,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-generated", type=int, default=100_000)
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--json", action="store_true", help="emit JSON instead of dlgp")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; evaluation is sequential")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--debug-invariants", action="store_true")
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-from .kb import Atom, ConjunctiveQuery, Term, canonicalize, sorted_atoms
+from .kb import ANS_PREDICATE, Atom, ConjunctiveQuery, Term, canonicalize, sorted_atoms
 
 # A substitution maps variables to terms; constants are implicitly fixed.
 Substitution = dict[Term, Term]
@@ -128,16 +128,15 @@ def core(q: ConjunctiveQuery) -> ConjunctiveQuery:
     return ConjunctiveQuery(frozenset(atoms), q.answer_vars)
 
 
-class _HomCache:
-    def __init__(self):
-        self._ge: dict[tuple[ConjunctiveQuery, ConjunctiveQuery], bool] = {}
+def _signature(q: ConjunctiveQuery) -> frozenset[tuple[str, int]]:
+    """(predicate, arity) pairs of q's ans-augmented form.
 
-    def ge(self, a: ConjunctiveQuery, b: ConjunctiveQuery) -> bool:
-        key = (a, b)
-        hit = self._ge.get(key)
-        if hit is None:
-            hit = self._ge[key] = more_general(a, b)
-        return hit
+    q1 >= q2 needs signature(q1) <= signature(q2) (Chandra and Merlin, 1977).
+    """
+    sig = {(a.predicate, a.arity) for a in q.atoms}
+    if not q.is_boolean:
+        sig.add((ANS_PREDICATE, len(q.answer_vars)))
+    return frozenset(sig)
 
 
 def cover(
@@ -147,41 +146,27 @@ def cover(
     """Minimal subset covering explored + fresh under >=.
 
     Within an equivalence class an explored element is always preferred to a
-    fresh one; remaining ties go to the smallest canonical form.
+    fresh one; remaining ties go to the smallest canonical form.  One pass
+    inserts each query, explored first, into a pairwise-incomparable kept
+    list, so each ordered pair is decided at most once.
     """
     explored = list(explored)
-    fresh = list(fresh)
     explored_set = set(explored)
+    items = list(dict.fromkeys(explored + list(fresh)))
+    sigs = {q: _signature(q) for q in items}
 
-    # dedup, explored first
-    items: list[ConjunctiveQuery] = []
-    seen: set[ConjunctiveQuery] = set()
-    for q in explored + fresh:
-        if q not in seen:
-            seen.add(q)
-            items.append(q)
-
-    cache = _HomCache()
+    def ge(a: ConjunctiveQuery, b: ConjunctiveQuery) -> bool:
+        return sigs[a] <= sigs[b] and more_general(a, b)
 
     def pref_key(q: ConjunctiveQuery):
         return (0 if q in explored_set else 1, canonicalize(q).sort_key(), q.sort_key())
 
-    # group into equivalence classes
-    classes: list[list[ConjunctiveQuery]] = []
-    for q in items:
-        for cls in classes:
-            rep = cls[0]
-            if cache.ge(rep, q) and cache.ge(q, rep):
-                cls.append(q)
-                break
-        else:
-            classes.append([q])
-
-    reps = [min(cls, key=pref_key) for cls in classes]
-    # keep only maximal representatives
-    kept = [
-        r
-        for r in reps
-        if not any(other is not r and cache.ge(other, r) for other in reps)
-    ]
+    kept: list[ConjunctiveQuery] = []
+    for x in items:
+        above = next((i for i, k in enumerate(kept) if ge(k, x)), None)
+        if above is None:
+            kept = [k for k in kept if not ge(x, k)]
+            kept.append(x)
+        elif ge(x, kept[above]) and pref_key(x) < pref_key(kept[above]):
+            kept[above] = x
     return set(kept)

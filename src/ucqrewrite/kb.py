@@ -6,7 +6,6 @@ atom so the whole engine only ever deals with Boolean queries.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from itertools import count
 from typing import Iterable, Iterator, Optional
@@ -181,15 +180,13 @@ def rule(label: str, body: Iterable[Atom], head: Iterable[Atom]) -> ExistentialR
 
 
 class FreshCounter:
-    """Thread-safe source of fresh indices."""
+    """Source of fresh indices, increasing from start."""
 
     def __init__(self, start: int = 0):
         self._count = count(start)
-        self._lock = threading.Lock()
 
     def next(self) -> int:
-        with self._lock:
-            return next(self._count)
+        return next(self._count)
 
 
 @dataclass

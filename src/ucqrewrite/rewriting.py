@@ -43,6 +43,16 @@ class RewritingOperator:
         return self.generator(q, rules)
 
 
+def _unifiable_rules(q: ConjunctiveQuery,
+                     rules: Iterable[ExistentialRule]) -> list[ExistentialRule]:
+    """Rules with a head atom whose (predicate, arity) occurs in q.
+
+    No other rule has a piece-unifier with q (Baget et al., AIJ 2011).
+    """
+    sig = {(a.predicate, a.arity) for a in q.atoms}
+    return [r for r in rules if any((h.predicate, h.arity) in sig for h in r.head)]
+
+
 def make_operator(kind: str, counter: Optional[FreshCounter] = None) -> RewritingOperator:
     counter = counter or FreshCounter()
 
@@ -50,7 +60,7 @@ def make_operator(kind: str, counter: Optional[FreshCounter] = None) -> Rewritin
 
         def gen(q, rules):
             out = []
-            for r in rules:
+            for r in _unifiable_rules(q, rules):
                 fr = freshen_rule(r, counter)
                 for mu in general_piece_unifiers(q, fr):
                     out.append(beta(q, fr, mu))
@@ -60,7 +70,7 @@ def make_operator(kind: str, counter: Optional[FreshCounter] = None) -> Rewritin
 
         def gen(q, rules):
             out = []
-            for r in rules:
+            for r in _unifiable_rules(q, rules):
                 fr = freshen_rule(r, counter)
                 for mu in single_piece_unifiers(q, fr):
                     out.append(beta(q, fr, mu))
@@ -70,7 +80,7 @@ def make_operator(kind: str, counter: Optional[FreshCounter] = None) -> Rewritin
 
         def gen(q, rules):
             out = []
-            for r in rules:
+            for r in _unifiable_rules(q, rules):
                 for agg in enumerate_aggregated(q, r, counter):
                     out.append(beta(q, agg.rule, agg.merged))
             return out
@@ -107,12 +117,11 @@ def _check_invariants(qf, qe, op, rules, process):
     # invariant 1: frontier within result set
     if not qe <= qf:
         raise InvariantViolation("frontier not contained in result set")
-    # invariant 4: pairwise incomparable
-    qf_list = sorted(qf, key=ConjunctiveQuery.sort_key)
-    for i, a in enumerate(qf_list):
-        for b in qf_list[i + 1:]:
-            if more_general(a, b) or more_general(b, a):
-                raise InvariantViolation(f"comparable pair in result set: {a} / {b}")
+    # invariant 4: pairwise incomparable, i.e. the cover of qf keeps all of it
+    dropped = qf - cover(explored=qf, fresh=[])
+    if dropped:
+        raise InvariantViolation(
+            "comparable queries in result set: " + ", ".join(sorted(map(str, dropped))))
     # invariant 2: result set covers one-step rewritings of explored queries
     for q in qf - qe:
         for r in op(q, rules):

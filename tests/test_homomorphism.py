@@ -19,7 +19,7 @@ from ucqrewrite import (
     more_general,
     var,
 )
-from ucqrewrite.homomorphism import apply_to_atoms
+from ucqrewrite.homomorphism import _signature, apply_to_atoms
 from ucqrewrite.kb import terms_of, vars_of
 
 x, y, z = var("x"), var("y"), var("z")
@@ -184,3 +184,69 @@ def test_cover_cardinality_independent_of_order():
         cut = rng.randint(0, len(shuffled))
         sizes.add(len(cover(explored=shuffled[:cut], fresh=shuffled[cut:])))
     assert len(sizes) == 1
+
+
+def reference_cover(explored, fresh):
+    """Cover by brute force: the maximal >=-classes of explored + fresh, each
+    represented by its least (explored first, canonical form, form) member."""
+    explored = list(explored)
+    items = list(dict.fromkeys(explored + list(fresh)))
+
+    def pref_key(q):
+        return (0 if q in explored else 1, canonicalize(q).sort_key(), q.sort_key())
+
+    kept = set()
+    for q in items:
+        if any(more_general(r, q) and not more_general(q, r) for r in items):
+            continue
+        cls = [r for r in items if more_general(r, q) and more_general(q, r)]
+        kept.add(min(cls, key=pref_key))
+    return kept
+
+
+def with_answers(atoms, answer):
+    """A query over atoms whose answer tuple keeps the constants of answer
+    and those of its variables that occur in atoms."""
+    vs = vars_of(atoms)
+    return ConjunctiveQuery(frozenset(atoms),
+                            tuple(t for t in answer if t.is_constant or t in vs))
+
+
+answer_query_strategy = st.builds(
+    with_answers,
+    st.sets(atoms_strategy, min_size=1, max_size=3),
+    st.lists(st.sampled_from([x, y, z, a]), max_size=2),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(answer_query_strategy, max_size=5),
+       st.lists(answer_query_strategy, max_size=5))
+def test_cover_matches_reference(explored, fresh):
+    # explored is drawn freely, so it is often not pairwise incomparable
+    assert cover(explored=explored, fresh=fresh) == reference_cover(explored, fresh)
+
+
+def test_cover_matches_reference_on_comparable_explored():
+    p_xy = cq(atom("p", x, y))
+    explored = [cq(atom("p", x, y), atom("q", y, z)), p_xy, cq(atom("p", y, z)),
+                cq(atom("p", x, x), answer_vars=(x,))]
+    fresh = [cq(atom("p", z, x)), cq(atom("q", x, y), answer_vars=(x,))]
+    got = cover(explored=explored, fresh=fresh)
+    assert got == reference_cover(explored, fresh) == {p_xy, fresh[1]}
+
+
+def test_boolean_query_covers_non_boolean_one():
+    # p(x,y) maps into ?(x) :- p(x,y); equal answer arities are not necessary
+    boolean = cq(atom("p", x, y))
+    answered = cq(atom("p", x, y), answer_vars=(x,))
+    assert more_general(boolean, answered) and not more_general(answered, boolean)
+    assert cover(explored=[answered], fresh=[boolean]) == {boolean}
+    assert reference_cover([answered], [boolean]) == {boolean}
+
+
+@settings(max_examples=150, deadline=None)
+@given(answer_query_strategy, answer_query_strategy)
+def test_signature_filter_never_rejects_a_more_general_pair(q1, q2):
+    if more_general(q1, q2):
+        assert _signature(q1) <= _signature(q2)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from ucqrewrite import (
+    Atom,
     ConjunctiveQuery,
     Limits,
     atom,
@@ -20,7 +21,7 @@ from ucqrewrite import (
     var,
 )
 from ucqrewrite.kb import FreshCounter, freshen_rule
-from ucqrewrite.rewriting import InvariantViolation, beta
+from ucqrewrite.rewriting import OPERATOR_KINDS, InvariantViolation, beta
 from conftest import random_linear_rules, random_query
 
 x, y, z, t, u, v, w = (var(n) for n in "xyztuvw")
@@ -195,3 +196,23 @@ def test_full_and_aggregated_equivalent_covers_on_random_instances():
         for qa in ra.cover:
             assert any(equivalent(qa, qf) for qf in rf.cover)
     assert checked >= 5
+
+
+@pytest.mark.parametrize("kind", OPERATOR_KINDS)
+def test_rules_with_heads_absent_from_query_change_no_rewriting(kind):
+    rng = random.Random(11)
+    for _ in range(30):
+        rules = random_linear_rules(rng, rng.randint(1, 4))
+        q = random_query(rng, rules)
+        preds = sorted({(at.predicate, at.arity) for at in q.atoms})
+        # heads over new predicates, and over a query predicate with another arity
+        extra = [rule(f"e{i}", [Atom(p, tuple(var(f"X{j}") for j in range(n)))],
+                      [Atom(f"e{i}", (var("X0"), var("Y")))])
+                 for i, (p, n) in enumerate(preds)]
+        p, n = preds[0]
+        extra.append(rule("e_arity", [Atom(p, tuple(var(f"X{j}") for j in range(n)))],
+                          [Atom(p, tuple(var(f"X{j}") for j in range(n + 1)))]))
+        plain = make_operator(kind)(q, rules)
+        padded = make_operator(kind)(q, extra[:1] + rules + extra[1:])
+        assert sorted(map(canonicalize, plain), key=ConjunctiveQuery.sort_key) == \
+            sorted(map(canonicalize, padded), key=ConjunctiveQuery.sort_key)
