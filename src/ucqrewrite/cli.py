@@ -12,14 +12,8 @@ import time
 from typing import Optional
 
 from .chase import verify_rewriting_set
-from .dlgp import DlgpError, parse_document, query_to_dlgp, result_stats
-from .kb import (
-    ConjunctiveQuery,
-    FreshCounter,
-    attach_answer_atom,
-    decompose_atomic_head,
-    strip_answer_atom,
-)
+from .dlgp import DlgpError, parse_document, serialize
+from .kb import FreshCounter, attach_answer_atom, decompose_atomic_head
 from .rewriting import Limits, OPERATOR_KINDS, make_operator, rewrite
 
 
@@ -40,6 +34,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--debug-invariants", action="store_true")
 
 
+def _operators(args) -> list[str]:
+    """The operators the subcommand runs: --operators for compare, else --operator."""
+    if not hasattr(args, "operators"):
+        return [args.operator]
+    operators = [o.strip() for o in args.operators.split(",") if o.strip()]
+    for o in operators:
+        if o not in OPERATOR_KINDS:
+            raise DlgpError(f"unknown operator {o!r}")
+    return operators
+
+
 def _load(args):
     with open(args.rules, encoding="utf-8") as fh:
         rules_doc = parse_document(fh.read())
@@ -52,9 +57,10 @@ def _load(args):
     counter = FreshCounter()
     if not args.no_decompose:
         rules = [d for r in rules for d in decompose_atomic_head(r, counter)]
-    elif args.operator != "full-piece" and any(not r.has_atomic_head for r in rules):
+    elif (any(o != "full-piece" for o in _operators(args))
+          and any(not r.has_atomic_head for r in rules)):
         raise DlgpError(
-            "non-atomic heads require --operator full-piece when --no-decompose is set"
+            "non-atomic heads require the full-piece operator when --no-decompose is set"
         )
     return rules, query
 
@@ -69,24 +75,10 @@ def _run(args, rules, query, operator: Optional[str] = None):
                    debug_invariants=args.debug_invariants)
 
 
-def _print_result(args, result) -> None:
-    # queries over internal aux predicates cannot match user fact bases
-    public = {q for q in result.cover
-              if not any(a.predicate.startswith("__aux_") for a in q.atoms)}
-    stripped = {strip_answer_atom(q) for q in public}
-    if args.json:
-        payload = {"cover": sorted(query_to_dlgp(q) for q in stripped),
-                   "stats": result_stats(result)}
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in sorted(query_to_dlgp(q) for q in stripped):
-            print(line)
-
-
 def cmd_rewrite(args) -> int:
     rules, query = _load(args)
     result = _run(args, rules, query)
-    _print_result(args, result)
+    sys.stdout.write(serialize(result, "json" if args.json else "dlgp"))
     return 0 if result.terminated else 2
 
 
@@ -107,12 +99,8 @@ def cmd_verify(args) -> int:
 
 def cmd_compare(args) -> int:
     rules, query = _load(args)
-    operators = [o.strip() for o in args.operators.split(",") if o.strip()]
-    for o in operators:
-        if o not in OPERATOR_KINDS:
-            raise DlgpError(f"unknown operator {o!r}")
     rows = []
-    for o in operators:
+    for o in _operators(args):
         t0 = time.monotonic()
         try:
             result = _run(args, rules, query, operator=o)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .kb import (
+    AUX_PREFIX,
     Atom,
     ConjunctiveQuery,
     ExistentialRule,
@@ -29,6 +30,7 @@ from .kb import (
     check_arities,
     const,
     sorted_atoms,
+    strip_answer_atom,
     var,
     vars_of,
 )
@@ -237,45 +239,27 @@ def _term_text(t: Term) -> str:
     return s[0].upper() + s[1:]
 
 
-def _atom_text(a: Atom, rename: Optional[dict[Term, Term]] = None) -> str:
-    args = [rename.get(t, t) if rename else t for t in a.args]
-    return f"{a.predicate}({','.join(_term_text(t) for t in args)})"
-
-
-def _x_rename_step(q: ConjunctiveQuery, width: int) -> ConjunctiveQuery:
-    rename: dict[Term, Term] = {}
-    for a in sorted_atoms(q.atoms):
-        for t in a.args:
-            if t.is_variable and t not in rename:
-                rename[t] = var(f"X{len(rename):0{width}d}")
-    atoms = frozenset(
-        Atom(a.predicate, tuple(rename.get(t, t) for t in a.args)) for a in q.atoms
-    )
-    return ConjunctiveQuery(atoms, tuple(rename.get(t, t) for t in q.answer_vars))
+def _atom_text(a: Atom, term_text=_term_text) -> str:
+    return f"{a.predicate}({','.join(term_text(t) for t in a.args)})"
 
 
 def query_to_dlgp(q: ConjunctiveQuery) -> str:
-    """One query statement with canonical variable names and sorted atoms.
+    """One query statement: the canonical form, with sorted atoms.
 
-    Renaming by first occurrence can reorder atoms, so the renaming step is
-    iterated to a cycle and the smallest member is printed; serialization
-    followed by parsing is then a fixpoint.  Variable names are zero-padded
-    so their lexicographic order matches their introduction order.
+    The canonical variable v<i> is printed as X<i>, zero-padded to the width
+    of the largest index so that lexicographic order matches index order;
+    serialization followed by parsing is then a fixpoint.
     """
-    width = len(str(max(len(vars_of(q.atoms)) - 1, 1)))
-    seen: dict[ConjunctiveQuery, int] = {}
-    seq: list[ConjunctiveQuery] = []
-    cur = _x_rename_step(q, width)
-    while cur not in seen:
-        seen[cur] = len(seq)
-        seq.append(cur)
-        cur = _x_rename_step(cur, width)
-    q = min(seq[seen[cur]:], key=lambda c: (c.sort_key(), c.answer_vars))
-    ordered = sorted_atoms(q.atoms)
+    q = canonicalize(q)
+    width = len(str(max(len(q.variables()) - 1, 1)))
+
+    def term_text(t: Term) -> str:
+        return f"X{t.fresh_index:0{width}d}" if t.is_variable else _term_text(t)
+
     head = ""
     if q.answer_vars:
-        head = "(" + ",".join(_term_text(t) for t in q.answer_vars) + ")"
-    body = ", ".join(_atom_text(a) for a in ordered)
+        head = "(" + ",".join(term_text(t) for t in q.answer_vars) + ")"
+    body = ", ".join(_atom_text(a, term_text) for a in sorted_atoms(q.atoms))
     return f"?{head} :- {body}."
 
 
@@ -292,17 +276,13 @@ def document_to_dlgp(doc: Document) -> str:
     return "\n".join(lines) + "\n"
 
 
-def result_stats(result) -> dict:
-    return {
-        "generated": result.generated_count,
-        "output": len(result.cover),
-        "depth": result.depth_reached,
-        "terminated": result.terminated,
-    }
-
-
 def serialize(obj, format: str = "dlgp") -> str:
-    """Serialize a Document or a RewritingResult as dlgp or json text."""
+    """Serialize a Document or a RewritingResult as dlgp or json text.
+
+    A RewritingResult is printed as ``ucqrewrite rewrite`` prints it: queries
+    over internal aux predicates are left out, the answer atom becomes the
+    answer terms, and stats.output counts the printed queries.
+    """
     if format not in ("dlgp", "json"):
         raise ValueError(f"unknown format {format!r}")
     if isinstance(obj, Document):
@@ -314,9 +294,11 @@ def serialize(obj, format: str = "dlgp") -> str:
             "queries": [query_to_dlgp(q) for q in obj.queries],
         }
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
-    # RewritingResult
-    queries = sorted(query_to_dlgp(q) for q in obj.cover)
+    # RewritingResult; aux queries cannot match user fact bases
+    queries = sorted(query_to_dlgp(strip_answer_atom(q)) for q in obj.cover
+                     if not any(a.predicate.startswith(AUX_PREFIX) for a in q.atoms))
     if format == "dlgp":
-        return "\n".join(queries) + "\n"
-    payload = {"cover": queries, "stats": result_stats(obj)}
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+        return "".join(f"{line}\n" for line in queries)
+    stats = {"generated": obj.generated_count, "output": len(queries),
+             "depth": obj.depth_reached, "terminated": obj.terminated}
+    return json.dumps({"cover": queries, "stats": stats}, indent=2) + "\n"

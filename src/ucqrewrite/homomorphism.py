@@ -3,7 +3,15 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-from .kb import ANS_PREDICATE, Atom, ConjunctiveQuery, Term, canonicalize, sorted_atoms
+from .kb import (
+    Atom,
+    ConjunctiveQuery,
+    Term,
+    attach_answer_atom,
+    canonicalize,
+    signature,
+    sorted_atoms,
+)
 
 # A substitution maps variables to terms; constants are implicitly fixed.
 Substitution = dict[Term, Term]
@@ -19,14 +27,6 @@ def apply_to_atom(s: Substitution, a: Atom) -> Atom:
 
 def apply_to_atoms(s: Substitution, atoms: Iterable[Atom]) -> frozenset[Atom]:
     return frozenset(apply_to_atom(s, a) for a in atoms)
-
-
-def compose(outer: Substitution, inner: Substitution) -> Substitution:
-    """(outer . inner): apply inner first."""
-    out = {v: outer.get(t, t) for v, t in inner.items()}
-    for v, t in outer.items():
-        out.setdefault(v, t)
-    return out
 
 
 def _try_match(src: Atom, tgt: Atom, binding: Substitution) -> Optional[Substitution]:
@@ -98,10 +98,7 @@ def find_homomorphism(
 
 def more_general(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
     """q1 >= q2: q1 maps homomorphically into q2 (on ans-augmented forms)."""
-    from .kb import attach_answer_atom
-
-    a1 = attach_answer_atom(q1) if not q1.is_boolean else q1
-    a2 = attach_answer_atom(q2) if not q2.is_boolean else q2
+    a1, a2 = attach_answer_atom(q1), attach_answer_atom(q2)
     return find_homomorphism(a1.atoms, a2.atoms) is not None
 
 
@@ -128,17 +125,6 @@ def core(q: ConjunctiveQuery) -> ConjunctiveQuery:
     return ConjunctiveQuery(frozenset(atoms), q.answer_vars)
 
 
-def _signature(q: ConjunctiveQuery) -> frozenset[tuple[str, int]]:
-    """(predicate, arity) pairs of q's ans-augmented form.
-
-    q1 >= q2 needs signature(q1) <= signature(q2) (Chandra and Merlin, 1977).
-    """
-    sig = {(a.predicate, a.arity) for a in q.atoms}
-    if not q.is_boolean:
-        sig.add((ANS_PREDICATE, len(q.answer_vars)))
-    return frozenset(sig)
-
-
 def cover(
     explored: Iterable[ConjunctiveQuery],
     fresh: Iterable[ConjunctiveQuery],
@@ -153,7 +139,7 @@ def cover(
     explored = list(explored)
     explored_set = set(explored)
     items = list(dict.fromkeys(explored + list(fresh)))
-    sigs = {q: _signature(q) for q in items}
+    sigs = {q: signature(q) for q in items}
 
     def ge(a: ConjunctiveQuery, b: ConjunctiveQuery) -> bool:
         return sigs[a] <= sigs[b] and more_general(a, b)

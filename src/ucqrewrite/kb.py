@@ -91,10 +91,6 @@ def vars_of(atoms: Iterable[Atom]) -> frozenset[Term]:
     return frozenset(t for a in atoms for t in a.args if t.is_variable)
 
 
-def consts_of(atoms: Iterable[Atom]) -> frozenset[Term]:
-    return frozenset(t for a in atoms for t in a.args if t.is_constant)
-
-
 def terms_of(atoms: Iterable[Atom]) -> frozenset[Term]:
     return frozenset(t for a in atoms for t in a.args)
 
@@ -266,6 +262,18 @@ def strip_answer_atom(q: ConjunctiveQuery) -> ConjunctiveQuery:
         raise ValueError(f"multiple {ANS_PREDICATE} atoms")
     ans = ans_atoms[0]
     return ConjunctiveQuery(q.atoms - {ans}, ans.args)
+
+
+def signature(q: ConjunctiveQuery) -> frozenset[tuple[str, int]]:
+    """(predicate, arity) pairs of q's ans-augmented form.
+
+    q1 >= q2 needs signature(q1) <= signature(q2) (Chandra and Merlin, 1977),
+    and a rule has a piece-unifier with q only if a head atom's pair is in it.
+    """
+    sig = {(a.predicate, a.arity) for a in q.atoms}
+    if not q.is_boolean:
+        sig.add((ANS_PREDICATE, len(q.answer_vars)))
+    return frozenset(sig)
 
 
 def _canonical_step(q: ConjunctiveQuery) -> ConjunctiveQuery:

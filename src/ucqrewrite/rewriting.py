@@ -11,6 +11,7 @@ from .kb import (
     FreshCounter,
     canonicalize,
     freshen_rule,
+    signature,
 )
 from .homomorphism import apply_to_atoms, core, cover, more_general
 from .unification import (
@@ -49,44 +50,31 @@ def _unifiable_rules(q: ConjunctiveQuery,
 
     No other rule has a piece-unifier with q (Baget et al., AIJ 2011).
     """
-    sig = {(a.predicate, a.arity) for a in q.atoms}
+    sig = signature(q)
     return [r for r in rules if any((h.predicate, h.arity) in sig for h in r.head)]
 
 
 def make_operator(kind: str, counter: Optional[FreshCounter] = None) -> RewritingOperator:
+    """One-step rewriting: beta over each (rule copy, unifier) pair of kind."""
     counter = counter or FreshCounter()
 
-    if kind == "full-piece":
+    if kind == "aggregated":
 
-        def gen(q, rules):
-            out = []
-            for r in _unifiable_rules(q, rules):
-                fr = freshen_rule(r, counter)
-                for mu in general_piece_unifiers(q, fr):
-                    out.append(beta(q, fr, mu))
-            return out
+        def pairs(q, r):
+            return ((agg.rule, agg.merged) for agg in enumerate_aggregated(q, r, counter))
 
-    elif kind == "single-piece":
+    elif kind in ("single-piece", "full-piece"):
+        unifiers = single_piece_unifiers if kind == "single-piece" else general_piece_unifiers
 
-        def gen(q, rules):
-            out = []
-            for r in _unifiable_rules(q, rules):
-                fr = freshen_rule(r, counter)
-                for mu in single_piece_unifiers(q, fr):
-                    out.append(beta(q, fr, mu))
-            return out
-
-    elif kind == "aggregated":
-
-        def gen(q, rules):
-            out = []
-            for r in _unifiable_rules(q, rules):
-                for agg in enumerate_aggregated(q, r, counter):
-                    out.append(beta(q, agg.rule, agg.merged))
-            return out
+        def pairs(q, r):
+            fr = freshen_rule(r, counter)
+            return ((fr, mu) for mu in unifiers(q, fr))
 
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
+
+    def gen(q, rules):
+        return [beta(q, fr, mu) for r in _unifiable_rules(q, rules) for fr, mu in pairs(q, r)]
 
     return RewritingOperator(kind, gen)
 
@@ -113,7 +101,12 @@ class InvariantViolation(AssertionError):
     pass
 
 
-def _check_invariants(qf, qe, op, rules, process):
+def process(q: ConjunctiveQuery, core_reduce: bool) -> ConjunctiveQuery:
+    """The form a generated query is kept in: its core if asked, canonicalized."""
+    return canonicalize(core(q) if core_reduce else q)
+
+
+def _check_invariants(qf, qe, op, rules, core_reduce):
     # invariant 1: frontier within result set
     if not qe <= qf:
         raise InvariantViolation("frontier not contained in result set")
@@ -125,7 +118,7 @@ def _check_invariants(qf, qe, op, rules, process):
     # invariant 2: result set covers one-step rewritings of explored queries
     for q in qf - qe:
         for r in op(q, rules):
-            rq = process(r)
+            rq = process(r, core_reduce)
             if not any(more_general(c, rq) for c in qf):
                 raise InvariantViolation(f"uncovered rewriting of explored query: {rq}")
 
@@ -146,11 +139,7 @@ def rewrite(
     rules = list(rules)
     limits = limits or Limits()
     start = time.monotonic()
-
-    def process(x: ConjunctiveQuery) -> ConjunctiveQuery:
-        return canonicalize(core(x) if core_reduce else x)
-
-    q0 = process(q)
+    q0 = process(q, core_reduce)
     qf: set[ConjunctiveQuery] = {q0}
     qe: set[ConjunctiveQuery] = {q0}
     generated = 0
@@ -167,7 +156,7 @@ def rewrite(
             raw.extend(op(cur, rules))
         generated += len(raw)
         explored += len(qe)
-        fresh = sorted({process(x) for x in raw} - qf,
+        fresh = sorted({process(x, core_reduce) for x in raw} - qf,
                        key=ConjunctiveQuery.sort_key)
         qc = cover(explored=qf, fresh=fresh)
         qe = qc - qf
@@ -175,7 +164,7 @@ def rewrite(
         if qe:
             depth += 1
         if debug_invariants:
-            _check_invariants(qf, qe, op, rules, process)
+            _check_invariants(qf, qe, op, rules, core_reduce)
         if limits.max_generated is not None and generated > limits.max_generated:
             terminated = False
             break
@@ -204,18 +193,14 @@ def saturate(
     Deduplicates by canonical form only; no cover maintenance.
     """
     rules = list(rules)
-
-    def process(x: ConjunctiveQuery) -> ConjunctiveQuery:
-        return canonicalize(core(x) if core_reduce else x)
-
-    q0 = process(q)
+    q0 = process(q, core_reduce)
     seen: set[ConjunctiveQuery] = {q0}
     frontier = [q0]
     for _ in range(depth):
         nxt = []
         for cur in frontier:
             for r in op(cur, rules):
-                rq = process(r)
+                rq = process(r, core_reduce)
                 if rq not in seen:
                     seen.add(rq)
                     nxt.append(rq)

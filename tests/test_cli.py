@@ -3,6 +3,16 @@ import json
 
 import pytest
 
+from ucqrewrite import (
+    FreshCounter,
+    Limits,
+    attach_answer_atom,
+    decompose_atomic_head,
+    make_operator,
+    parse_document,
+    rewrite,
+    serialize,
+)
 from ucqrewrite.cli import main
 
 from conftest import DATA
@@ -95,6 +105,11 @@ def test_multi_atom_head_decomposition(capsys, tmp_path):
     assert "q(X0)" in out
     # aux predicates never leak into the output
     assert "__aux" not in out
+    # and stats.output counts the printed queries, not the aux one
+    code, out, _ = run(capsys, "rewrite", "--rules", rules, "--query", query, "--json")
+    payload = json.loads(out)
+    assert payload["cover"] == ["? :- p(X0,X1), s(X1).", "? :- q(X0)."]
+    assert payload["stats"]["output"] == 2
 
 
 def test_no_decompose_requires_full_piece(capsys, tmp_path):
@@ -107,6 +122,32 @@ def test_no_decompose_requires_full_piece(capsys, tmp_path):
                        "--no-decompose", "--operator", "full-piece")
     assert code == 0
     assert "q(X0)" in out
+
+
+def test_compare_no_decompose_checks_the_compared_operators(capsys, tmp_path):
+    rules = write(tmp_path, "m.dlgp", "[r1] p(X,Y), s(Y) :- q(X).\n")
+    query = write(tmp_path, "q.dlgp", "? :- p(U,V), s(V).\n")
+    code, out, _ = run(capsys, "compare", "--rules", rules, "--query", query,
+                       "--no-decompose", "--operators", "full-piece", "--json")
+    assert code == 0
+    assert [r["operator"] for r in json.loads(out)] == ["full-piece"]
+    code, _, err = run(capsys, "compare", "--rules", rules, "--query", query,
+                       "--no-decompose", "--operators", "full-piece,aggregated")
+    assert code == 1 and "full-piece" in err
+
+
+def test_rewrite_prints_what_serialize_returns(capsys, tmp_path):
+    rules = write(tmp_path, "m.dlgp", "[r1] p(X,Y), s(Y) :- q(X).\n")
+    query = write(tmp_path, "q.dlgp", "?(U) :- p(U,V), s(V).\n")
+    counter = FreshCounter()
+    decomposed = [d for r in parse_document(open(rules).read()).rules
+                  for d in decompose_atomic_head(r, counter)]
+    q = parse_document(open(query).read()).queries[0]
+    res = rewrite(attach_answer_atom(q), decomposed, make_operator("aggregated"), Limits())
+    for fmt, flags in (("dlgp", ()), ("json", ("--json",))):
+        code, out, _ = run(capsys, "rewrite", "--rules", rules, "--query", query, *flags)
+        assert code == 0
+        assert out == serialize(res, fmt)
 
 
 def test_verify_subcommand_clean(capsys):

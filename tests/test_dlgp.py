@@ -1,9 +1,25 @@
 """Text format: parsing, error reporting, serialization round trips."""
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ucqrewrite import DlgpError, atom, const, cq, parse_document, query_to_dlgp, var
+from ucqrewrite import (
+    DlgpError,
+    FreshCounter,
+    Limits,
+    atom,
+    attach_answer_atom,
+    const,
+    cq,
+    decompose_atomic_head,
+    make_operator,
+    parse_document,
+    query_to_dlgp,
+    rewrite,
+    var,
+)
 from ucqrewrite.dlgp import document_to_dlgp, serialize
 
 from conftest import load
@@ -81,6 +97,11 @@ def test_query_serialization_is_canonical():
     q2 = cq(atom("p", var("A"), var("B")), atom("r", var("A")))
     assert query_to_dlgp(q1) == query_to_dlgp(q2)
     assert query_to_dlgp(q1) == "? :- p(X0,X1), r(X0)."
+    vs = [var(f"V{i}") for i in range(11)]
+    chain = cq(*(atom("r", vs[i], vs[i + 1]) for i in range(10)),
+               answer_vars=(vs[10], const("a")))
+    links = ", ".join(f"r(X{i:02d},X{i + 1:02d})" for i in range(10))
+    assert query_to_dlgp(chain) == f"?(X10,a) :- {links}."
 
 
 def test_round_trip_document():
@@ -115,3 +136,55 @@ def test_serialize_result_json_schema():
                                 "terminated": True}
     with pytest.raises(ValueError):
         serialize(res, "xml")
+
+
+ARITY = {"p": 1, "r": 2, "s": 3}
+
+
+@st.composite
+def wide_queries(draw):
+    """Queries with 11-14 variables, constants and answer terms."""
+    vs = [var(f"V{i}") for i in range(draw(st.integers(11, 14)))]
+    terms = st.sampled_from(vs + [const("a"), const("b")])
+    atoms = {atom("r", v, draw(terms)) for v in vs}  # every variable occurs
+    for _ in range(draw(st.integers(0, 6))):
+        pred = draw(st.sampled_from(sorted(ARITY)))
+        atoms.add(atom(pred, *(draw(terms) for _ in range(ARITY[pred]))))
+    answer = draw(st.lists(st.sampled_from(vs + [const("a")]), max_size=3))
+    return cq(*atoms, answer_vars=tuple(answer))
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_queries(), st.sets(st.integers(0, 10**6), min_size=14, max_size=14))
+def test_query_serialization_ignores_names_and_is_a_fixpoint(q, indices):
+    # The canonical form depends only on the order of the variables (it is not
+    # complete for isomorphism), so any order-keeping renaming prints the same.
+    text = query_to_dlgp(q)
+    vs = sorted(q.variables())
+    rename = {v: var("Z", i) for v, i in zip(vs, sorted(indices))}
+    renamed = cq(*(atom(a.predicate, *(rename.get(t, t) for t in a.args)) for a in q.atoms),
+                 answer_vars=tuple(rename.get(t, t) for t in q.answer_vars))
+    assert query_to_dlgp(renamed) == text
+    assert query_to_dlgp(parse_document(text).queries[0]) == text
+    assert {len(i) for i in re.findall(r"\bX(\d+)", text)} == {2}
+
+
+def _multi_head_result():
+    """A run with answer variables and a decomposed two-atom head."""
+    doc = parse_document("[r1] p(X,Y), s(Y) :- q(X).\n?(U) :- p(U,V), s(V).\n")
+    counter = FreshCounter()
+    rules = [d for r in doc.rules for d in decompose_atomic_head(r, counter)]
+    return rewrite(attach_answer_atom(doc.queries[0]), rules,
+                   make_operator("aggregated"), Limits())
+
+
+def test_serialized_result_parses_back_without_internal_atoms():
+    res = _multi_head_result()
+    assert any(a.predicate.startswith("__aux_") for q in res.cover for a in q.atoms)
+    text = serialize(res, "dlgp")
+    assert "__aux_" not in text and "__ans" not in text
+    assert text.splitlines() == ["?(X0) :- p(X0,X1), s(X1).", "?(X0) :- q(X0)."]
+    assert [query_to_dlgp(q) for q in parse_document(text).queries] == text.splitlines()
+    payload = json.loads(serialize(res, "json"))
+    assert payload["cover"] == text.splitlines()
+    assert payload["stats"]["output"] == len(payload["cover"]) == 2

@@ -19,8 +19,8 @@ from ucqrewrite import (
     more_general,
     var,
 )
-from ucqrewrite.homomorphism import _signature, apply_to_atoms
-from ucqrewrite.kb import terms_of, vars_of
+from ucqrewrite.homomorphism import apply_to_atoms
+from ucqrewrite.kb import signature, terms_of, vars_of
 
 x, y, z = var("x"), var("y"), var("z")
 a, b, c = const("a"), const("b"), const("c")
@@ -249,4 +249,4 @@ def test_boolean_query_covers_non_boolean_one():
 @given(answer_query_strategy, answer_query_strategy)
 def test_signature_filter_never_rejects_a_more_general_pair(q1, q2):
     if more_general(q1, q2):
-        assert _signature(q1) <= _signature(q2)
+        assert signature(q1) <= signature(q2)
