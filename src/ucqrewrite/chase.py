@@ -2,12 +2,11 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .kb import (
     Atom,
-    CONSTANT,
     ConjunctiveQuery,
     ExistentialRule,
     NULL_PREFIX,
@@ -66,24 +65,23 @@ def _freeze_atoms(atoms: Iterable[Atom], state: ChaseState) -> set[Atom]:
 
 def _apply_round(state: ChaseState, rules: list[ExistentialRule], rank: int) -> bool:
     """Fire all unsatisfied triggers once; returns True if anything was added."""
-    additions: set[Atom] = set()
-    snapshot = frozenset(state.atoms)
+    added = False
+    snapshot = frozenset(state.atoms)  # triggers come from the round's start
     for rule in rules:
         for h in homomorphisms(rule.body, snapshot):
             trigger = frozenset(apply_to_atom(h, a) for a in rule.head)
             # restricted check: skip if the head is already satisfied by an
             # extension of the trigger (existentials still variables there)
-            if find_homomorphism(trigger, state.atoms | additions) is not None:
+            if find_homomorphism(trigger, state.atoms) is not None:
                 continue
             ex_map = {e: state.fresh_null() for e in rule.existentials}
             for a in trigger:
                 grounded = Atom(a.predicate, tuple(ex_map.get(t, t) for t in a.args))
-                additions.add(grounded)
-    new = additions - state.atoms
-    for a in new:
-        state.rank[a] = rank
-    state.atoms |= new
-    return bool(new)
+                if grounded not in state.atoms:
+                    state.atoms.add(grounded)
+                    state.rank[grounded] = rank
+                    added = True
+    return added
 
 
 def chase(facts: Iterable[Atom], rules: Iterable[ExistentialRule], max_rank: int) -> ChaseState:

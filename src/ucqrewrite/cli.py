@@ -12,7 +12,7 @@ import time
 from typing import Optional
 
 from .chase import verify_rewriting_set
-from .dlgp import DlgpError, parse_document, serialize
+from .dlgp import DlgpError, parse_document, printed_cover, serialize
 from .kb import FreshCounter, attach_answer_atom, decompose_atomic_head
 from .rewriting import Limits, OPERATOR_KINDS, make_operator, rewrite
 
@@ -109,7 +109,7 @@ def cmd_compare(args) -> int:
             continue
         rows.append({
             "operator": o,
-            "output": len(result.cover),
+            "output": len(printed_cover(result)),
             "generated": result.generated_count,
             "depth": result.depth_reached,
             "terminated": result.terminated,

@@ -40,8 +40,6 @@ from .kb import (
 class SourceSpan:
     line: int
     col: int
-    end_line: int
-    end_col: int
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
@@ -59,7 +57,6 @@ class Document:
     rules: list[ExistentialRule] = field(default_factory=list)
     facts: list[frozenset[Atom]] = field(default_factory=list)
     queries: list[ConjunctiveQuery] = field(default_factory=list)
-    source_spans: list[SourceSpan] = field(default_factory=list)
 
     def fact_atoms(self) -> frozenset[Atom]:
         return frozenset(a for f in self.facts for a in f)
@@ -93,7 +90,7 @@ def _tokenize(text: str) -> list[_Token]:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise DlgpError(
-                f"unexpected character {text[pos]!r}", SourceSpan(line, col, line, col)
+                f"unexpected character {text[pos]!r}", SourceSpan(line, col)
             )
         kind = m.lastgroup
         tok = m.group()
@@ -101,7 +98,7 @@ def _tokenize(text: str) -> list[_Token]:
         end_line = line + nl
         end_col = len(tok) - tok.rfind("\n") if nl else col + len(tok)
         if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, tok, SourceSpan(line, col, end_line, end_col)))
+            tokens.append(_Token(kind, tok, SourceSpan(line, col)))
         line, col = end_line, end_col
         pos = m.end()
     return tokens
@@ -119,7 +116,7 @@ class _Parser:
     def next(self) -> _Token:
         tok = self.peek()
         if tok is None:
-            last = self.tokens[-1].span if self.tokens else SourceSpan(1, 1, 1, 1)
+            last = self.tokens[-1].span if self.tokens else SourceSpan(1, 1)
             raise DlgpError("unexpected end of input", last)
         self.pos += 1
         return tok
@@ -183,13 +180,12 @@ class _Parser:
                 self.expect(")")
             self.expect(":-")
             atoms = self.atom_list()
-            end = self.expect(".").span
+            self.expect(".")
             qvars = vars_of(atoms)
             for t in answer:
                 if t.is_variable and t not in qvars:
                     raise DlgpError(f"answer variable {t} not in query body", start)
             doc.queries.append(ConjunctiveQuery(frozenset(atoms), tuple(answer)))
-            doc.source_spans.append(self._merge(start, end))
             return auto_label
         label = None
         if tok.text == "[":
@@ -205,22 +201,16 @@ class _Parser:
             if label is not None:
                 raise DlgpError("facts cannot carry a label", start)
             doc.facts.append(frozenset(first))
-            doc.source_spans.append(self._merge(start, nxt.span))
             return auto_label
         if nxt.text != ":-":
             raise DlgpError(f"expected '.' or ':-', found {nxt.text!r}", nxt.span)
         body = self.atom_list()
-        end = self.expect(".").span
+        self.expect(".")
         if label is None:
             label = f"r{auto_label}"
             auto_label += 1
         doc.rules.append(ExistentialRule(label, frozenset(body), frozenset(first)))
-        doc.source_spans.append(self._merge(start, end))
         return auto_label
-
-    @staticmethod
-    def _merge(a: SourceSpan, b: SourceSpan) -> SourceSpan:
-        return SourceSpan(a.line, a.col, b.end_line, b.end_col)
 
 
 def parse_document(text: str) -> Document:
@@ -263,17 +253,27 @@ def query_to_dlgp(q: ConjunctiveQuery) -> str:
     return f"?{head} :- {body}."
 
 
+def _rule_text(r: ExistentialRule) -> str:
+    body = ", ".join(_atom_text(a) for a in sorted_atoms(r.body))
+    head = ", ".join(_atom_text(a) for a in sorted_atoms(r.head))
+    return f"[{r.label}] {head} :- {body}."
+
+
 def document_to_dlgp(doc: Document) -> str:
-    lines = []
-    for r in doc.rules:
-        body = ", ".join(_atom_text(a) for a in sorted_atoms(r.body))
-        head = ", ".join(_atom_text(a) for a in sorted_atoms(r.head))
-        lines.append(f"[{r.label}] {head} :- {body}.")
+    lines = [_rule_text(r) for r in doc.rules]
     for f in doc.facts:
         lines.append(", ".join(_atom_text(a) for a in sorted_atoms(f)) + ".")
     for q in doc.queries:
         lines.append(query_to_dlgp(q))
     return "\n".join(lines) + "\n"
+
+
+def printed_cover(result) -> list[str]:
+    """A RewritingResult's cover as printed: sorted query statements, with
+    queries over internal aux predicates left out (they cannot match user
+    fact bases) and the answer atom turned back into the answer terms."""
+    return sorted(query_to_dlgp(strip_answer_atom(q)) for q in result.cover
+                  if not any(a.predicate.startswith(AUX_PREFIX) for a in q.atoms))
 
 
 def serialize(obj, format: str = "dlgp") -> str:
@@ -289,14 +289,12 @@ def serialize(obj, format: str = "dlgp") -> str:
         if format == "dlgp":
             return document_to_dlgp(obj)
         payload = {
-            "rules": [str(r) for r in obj.rules],
+            "rules": [_rule_text(r) for r in obj.rules],
             "facts": [sorted(str(a) for a in f) for f in obj.facts],
             "queries": [query_to_dlgp(q) for q in obj.queries],
         }
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
-    # RewritingResult; aux queries cannot match user fact bases
-    queries = sorted(query_to_dlgp(strip_answer_atom(q)) for q in obj.cover
-                     if not any(a.predicate.startswith(AUX_PREFIX) for a in q.atoms))
+    queries = printed_cover(obj)
     if format == "dlgp":
         return "".join(f"{line}\n" for line in queries)
     stats = {"generated": obj.generated_count, "output": len(queries),

@@ -1,68 +1,57 @@
-"""Union-find partitions over terms: the carrier of unification state."""
+"""Immutable term partitions: the carrier of unification state."""
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .kb import Term
 from .homomorphism import Substitution
 
 
 class TermPartition:
-    """Partition of a finite term set, built by unions over an initial carrier."""
+    """Partition of a finite term set: term groups that share a term are merged.
 
-    def __init__(self, classes: Iterable[Iterable[Term]] = ()):
-        self._parent: dict[Term, Term] = {}
-        for cls in classes:
-            cls = list(cls)
-            for t in cls:
-                self.add(t)
-            for t in cls[1:]:
-                self.union(cls[0], t)
+    The partition never changes after construction, so its classes are
+    computed once, sorted by their least term.
+    """
 
-    def add(self, t: Term) -> None:
-        self._parent.setdefault(t, t)
+    def __init__(self, groups: Iterable[Iterable[Term]] = ()):
+        parent: dict[Term, Term] = {}
 
-    def find(self, t: Term) -> Term:
-        parent = self._parent
-        root = t
-        while parent[root] != root:
-            root = parent[root]
-        while parent[t] != root:  # path compression
-            parent[t], t = root, parent[t]
-        return root
+        def find(t: Term) -> Term:
+            while parent[t] != t:
+                parent[t] = t = parent[parent[t]]  # path halving
+            return t
 
-    def union(self, a: Term, b: Term) -> None:
-        self.add(a)
-        self.add(b)
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[ra] = rb
+        for group in groups:
+            group = list(group)
+            for t in group:
+                parent.setdefault(t, t)
+            for t in group[1:]:
+                ra, rb = find(group[0]), find(t)
+                if ra != rb:
+                    parent[rb] = ra
+        by_root: dict[Term, set[Term]] = {}
+        for t in parent:
+            by_root.setdefault(find(t), set()).add(t)
+        self._classes = tuple(sorted((frozenset(c) for c in by_root.values()),
+                                     key=lambda c: min(c).sort_key()))
+        self._class_of = {t: c for c in self._classes for t in c}
 
     @property
     def carrier(self) -> frozenset[Term]:
-        return frozenset(self._parent)
+        return frozenset(self._class_of)
 
     def same_class(self, a: Term, b: Term) -> bool:
-        return a in self._parent and b in self._parent and self.find(a) == self.find(b)
+        return a in self._class_of and b in self._class_of[a]
 
     def class_of(self, t: Term) -> frozenset[Term]:
-        root = self.find(t)
-        return frozenset(x for x in self._parent if self.find(x) == root)
+        return self._class_of[t]
 
     def classes(self) -> list[frozenset[Term]]:
-        by_root: dict[Term, set[Term]] = {}
-        for t in self._parent:
-            by_root.setdefault(self.find(t), set()).add(t)
-        return sorted((frozenset(c) for c in by_root.values()),
-                      key=lambda c: min(c).sort_key())
+        return list(self._classes)
 
     def as_sets(self) -> frozenset[frozenset[Term]]:
-        return frozenset(self.classes())
-
-    def copy(self) -> "TermPartition":
-        p = TermPartition()
-        p._parent = dict(self._parent)
-        return p
+        return frozenset(self._classes)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TermPartition):
@@ -70,20 +59,13 @@ class TermPartition:
         return self.as_sets() == other.as_sets()
 
     def __repr__(self) -> str:
-        cls = ", ".join("{" + ",".join(str(t) for t in sorted(c)) + "}" for c in self.classes())
+        cls = ", ".join("{" + ",".join(str(t) for t in sorted(c)) + "}" for c in self._classes)
         return "{" + cls + "}"
 
 
 def join(p1: TermPartition, p2: TermPartition) -> TermPartition:
     """Union of non-disjoint classes until stability; carrier is the union."""
-    out = p1.copy()
-    for cls in p2.classes():
-        cls = list(cls)
-        for t in cls:
-            out.add(t)
-        for t in cls[1:]:
-            out.union(cls[0], t)
-    return out
+    return TermPartition(p1.classes() + p2.classes())
 
 
 def join_all(parts: Iterable[TermPartition]) -> TermPartition:
@@ -102,9 +84,7 @@ def finer_than(p1: TermPartition, p2: TermPartition) -> bool:
     """Every class of p1 is included in a class of p2 (same carrier)."""
     if p1.carrier != p2.carrier:
         raise ValueError("finer_than requires identical carriers")
-    return all(
-        all(p2.same_class(next(iter(c)), t) for t in c) for c in p1.classes()
-    )
+    return all(c <= p2.class_of(min(c)) for c in p1.classes())
 
 
 def associated_substitution(p: TermPartition) -> Substitution:

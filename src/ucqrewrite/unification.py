@@ -3,7 +3,7 @@ atomic-head rules, aggregation of compatible unifiers, and an exhaustive
 oracle for general heads."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional
 
@@ -24,7 +24,6 @@ from .partition import (
     associated_substitution,
     finer_than,
     is_admissible,
-    join,
     join_all,
 )
 
@@ -122,19 +121,10 @@ def pieces(atoms: Iterable[Atom], cutpoint_set: Iterable[Term]) -> list[frozense
 def partition_by_position(atoms: Iterable[Atom]) -> TermPartition:
     """Merge terms appearing at the same argument position of one predicate."""
     atoms = list(atoms)
-    preds = {a.predicate for a in atoms}
+    preds = {(a.predicate, a.arity) for a in atoms}
     if len(preds) > 1:
         raise ValueError(f"mixed predicates: {sorted(preds)}")
-    p = TermPartition()
-    if not atoms:
-        return p
-    first = atoms[0]
-    for t in first.args:
-        p.add(t)
-    for a in atoms[1:]:
-        for i, t in enumerate(a.args):
-            p.union(first.args[i], t)
-    return p
+    return TermPartition(zip(*(a.args for a in atoms)))
 
 
 def unifiable(q_atoms: Iterable[Atom], rule: ExistentialRule) -> bool:
@@ -185,12 +175,11 @@ def single_piece_unifiers(q: ConjunctiveQuery, rule: ExistentialRule) -> list[Pi
         while piece <= pool and unifiable(piece, rule):
             sticky = sticky_variables(q, piece, rule)
             if not sticky:
+                part = partition_by_position(sorted_atoms(piece) + [head])
+                out.append(PieceUnifier(frozenset(piece), rule.head, part, rule))
+                pool -= piece
                 break
             piece |= {a for a in q.atoms if a.variables() & sticky}
-        if piece <= pool and unifiable(piece, rule):
-            part = partition_by_position(sorted_atoms(piece) + [head])
-            out.append(PieceUnifier(frozenset(piece), rule.head, part, rule))
-            pool -= piece
         else:
             pool.discard(seed)
     return out
@@ -376,11 +365,8 @@ def general_piece_unifiers(
             partitions = []
             for f in product(*f_choices):
                 for g in product(*g_choices):
-                    p = TermPartition()
                     pairs = list(zip(q_sel, f)) + [(qa, ha) for ha, qa in zip(h_sel, g)]
-                    for qa, ha in pairs:
-                        for s, t in zip(qa.args, ha.args):
-                            p.union(s, t)
-                    partitions.append(p)
+                    partitions.append(TermPartition(
+                        st for qa, ha in pairs for st in zip(qa.args, ha.args)))
             out.extend(_emit_minimal(q, q_part, h_part, rule, partitions))
     return out

@@ -41,6 +41,15 @@ def test_restricted_chase_reuses_existing_witness():
     assert st.null_count == 0
 
 
+def test_partly_present_head_keeps_the_old_atom_rank():
+    r = rule("r", [atom("q", x)], [atom("p", x), atom("s", x, y)])
+    st = chase([atom("q", a), atom("p", a)], [r], max_rank=3)
+    (s_atom,) = [at for at in st.atoms if at.predicate == "s"]
+    assert st.rank[atom("p", a)] == 0
+    assert st.rank[s_atom] == 1
+    assert len(st.atoms) == 3
+
+
 def test_chase_respects_rank_bound():
     r = rule("r", [atom("p", x, y)], [atom("p", y, z)])
     st = chase([atom("p", a, b)], [r], max_rank=2)

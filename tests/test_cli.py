@@ -112,6 +112,17 @@ def test_multi_atom_head_decomposition(capsys, tmp_path):
     assert payload["stats"]["output"] == 2
 
 
+def test_compare_output_counts_the_printed_queries(capsys, tmp_path):
+    rules = write(tmp_path, "m.dlgp", "[r1] p(X,Y), s(Y) :- q(X).\n")
+    query = write(tmp_path, "q.dlgp", "? :- p(U,V), s(V).\n")
+    code, out, _ = run(capsys, "rewrite", "--rules", rules, "--query", query, "--json")
+    printed = len(json.loads(out)["cover"])
+    code, out, _ = run(capsys, "compare", "--rules", rules, "--query", query,
+                       "--operators", "aggregated,full-piece", "--json")
+    assert code == 0
+    assert [row["output"] for row in json.loads(out)] == [printed, printed] == [2, 2]
+
+
 def test_no_decompose_requires_full_piece(capsys, tmp_path):
     rules = write(tmp_path, "m.dlgp", "[r1] p(X,Y), s(Y) :- q(X).\n")
     query = write(tmp_path, "q.dlgp", "? :- p(U,V), s(V).\n")

@@ -117,6 +117,15 @@ def test_round_trip_document():
         assert document_to_dlgp(doc2) == text
 
 
+def test_json_rules_parse_back():
+    multi_head = "[m] p(X,Y), s(Y,c) :- q(X), r(X,d).\n"
+    for text in (load("two_rule_loop.dlgp"), load("ternary_fold.dlgp"), multi_head):
+        doc = parse_document(text)
+        rules = json.loads(serialize(doc, "json"))["rules"]
+        assert rules == document_to_dlgp(doc).splitlines()[:len(doc.rules)]
+        assert parse_document("\n".join(rules)).rules == doc.rules
+
+
 def test_round_trip_mixed_case_variable():
     doc = parse_document("p(Xab,Y) :- q(Xab).\n")
     text = document_to_dlgp(doc)

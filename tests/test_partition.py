@@ -18,9 +18,7 @@ a, b = const("a"), const("b")
 
 
 def test_union_find_basic():
-    p = TermPartition()
-    p.union(x, y)
-    p.add(z)
+    p = TermPartition([(x, y), (z,)])
     assert p.same_class(x, y)
     assert not p.same_class(x, z)
     assert p.class_of(x) == {x, y}
@@ -89,11 +87,7 @@ pairs = st.lists(
 
 @given(pairs, pairs)
 def test_join_is_least_upper_bound(us1, us2):
-    p1, p2 = TermPartition(), TermPartition()
-    for s, t in us1:
-        p1.union(s, t)
-    for s, t in us2:
-        p2.union(s, t)
+    p1, p2 = TermPartition(us1), TermPartition(us2)
     j = join(p1, p2)
     # join is coarser than both on the shared carrier
     for p in (p1, p2):
@@ -105,12 +99,47 @@ def test_join_is_least_upper_bound(us1, us2):
 
 @given(pairs)
 def test_substitution_idempotent(unions):
-    p = TermPartition()
-    for s, t in unions:
-        p.union(s, t)
+    p = TermPartition(unions)
     if not is_admissible(p):
         return
     u = associated_substitution(p)
     for t in p.carrier:
         image = apply_to_term(u, t)
         assert apply_to_term(u, image) == image
+
+
+def components(groups):
+    """Connected components of the graph linking each term to its group's
+    other terms, found by flooding an adjacency list."""
+    adj = {}
+    for g in groups:
+        for s in g:
+            adj.setdefault(s, set()).update(g)
+    out, seen = set(), set()
+    for t in adj:
+        if t in seen:
+            continue
+        comp, todo = set(), [t]
+        while todo:
+            s = todo.pop()
+            if s not in comp:
+                comp.add(s)
+                todo.extend(adj[s] - comp)
+        seen |= comp
+        out.add(frozenset(comp))
+    return frozenset(out)
+
+
+groups = st.lists(st.lists(st.sampled_from(term_pool), max_size=4), max_size=6)
+
+
+@given(groups, groups)
+def test_partition_is_the_components_of_its_groups(g1, g2):
+    p1, p2 = TermPartition(g1), TermPartition(g2)
+    assert p1.as_sets() == components(g1)
+    assert p1.carrier == {t for g in g1 for t in g}
+    assert p1.classes() == sorted(p1.as_sets(), key=min)
+    for t in p1.carrier:
+        assert p1.class_of(t) == next(c for c in components(g1) if t in c)
+    joined = join(p1, p2).as_sets()
+    assert joined == components(p1.classes() + p2.classes()) == components(g1 + g2)

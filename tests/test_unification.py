@@ -59,6 +59,8 @@ def test_partition_by_position():
     assert p.as_sets() == {frozenset({u, w, x}), frozenset({v, y})}
     with pytest.raises(ValueError):
         partition_by_position([atom("p", u), atom("q", u)])
+    with pytest.raises(ValueError):
+        partition_by_position([atom("p", u), atom("p", u, v)])
 
 
 def test_single_unifier_merging_two_atoms():
