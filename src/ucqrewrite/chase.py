@@ -16,6 +16,7 @@ from .kb import (
     vars_of,
 )
 from .homomorphism import (
+    AtomIndex,
     Substitution,
     apply_to_atom,
     cover,
@@ -24,16 +25,33 @@ from .homomorphism import (
 )
 
 
-@dataclass
 class ChaseState:
-    atoms: set[Atom]
-    rank: dict[Atom, int]
-    null_count: int = 0
+    """A chase instance: its atoms, the rank of each, and an index over them.
+
+    The facts get rank 0, with their variables frozen to labelled nulls.
+    Every later atom goes into ``atoms``, ``rank`` and ``index`` together
+    through ``add``.
+    """
+
+    def __init__(self, facts: Iterable[Atom] = ()):
+        self.null_count = 0
+        self.atoms: set[Atom] = _freeze_atoms(facts, self)
+        self.rank: dict[Atom, int] = dict.fromkeys(self.atoms, 0)
+        self.index = AtomIndex(self.atoms)
 
     def fresh_null(self) -> Term:
         t = const(f"{NULL_PREFIX}{self.null_count}")
         self.null_count += 1
         return t
+
+    def add(self, a: Atom, rank: int) -> bool:
+        """Add a with the given rank; returns False if it was already present."""
+        if a in self.atoms:
+            return False
+        self.atoms.add(a)
+        self.rank[a] = rank
+        self.index.add(a)
+        return True
 
 
 @dataclass
@@ -64,23 +82,30 @@ def _freeze_atoms(atoms: Iterable[Atom], state: ChaseState) -> set[Atom]:
 
 
 def _apply_round(state: ChaseState, rules: list[ExistentialRule], rank: int) -> bool:
-    """Fire all unsatisfied triggers once; returns True if anything was added."""
+    """Fire all unsatisfied triggers once; returns True if anything was added.
+
+    Triggers come from the instance at the round's start.  A trigger whose
+    body image lies wholly in atoms older than the previous round was seen
+    by that round and left satisfied, and stays so as the instance grows, so
+    it is skipped without a restricted check.
+    """
     added = False
-    snapshot = frozenset(state.atoms)  # triggers come from the round's start
+    snapshot = state.index.snapshot()
     for rule in rules:
-        for h in homomorphisms(rule.body, snapshot):
-            trigger = frozenset(apply_to_atom(h, a) for a in rule.head)
+        body = sorted_atoms(rule.body)
+        existentials = sorted(rule.existentials)
+        for h in homomorphisms(body, snapshot):
+            if max((state.rank[apply_to_atom(h, a)] for a in body), default=0) < rank - 1:
+                continue
+            trigger = sorted_atoms(apply_to_atom(h, a) for a in rule.head)
             # restricted check: skip if the head is already satisfied by an
             # extension of the trigger (existentials still variables there)
-            if find_homomorphism(trigger, state.atoms) is not None:
+            if find_homomorphism(trigger, state.index) is not None:
                 continue
-            ex_map = {e: state.fresh_null() for e in rule.existentials}
+            ex_map = {e: state.fresh_null() for e in existentials}
             for a in trigger:
                 grounded = Atom(a.predicate, tuple(ex_map.get(t, t) for t in a.args))
-                if grounded not in state.atoms:
-                    state.atoms.add(grounded)
-                    state.rank[grounded] = rank
-                    added = True
+                added |= state.add(grounded, rank)
     return added
 
 
@@ -88,9 +113,7 @@ def chase(facts: Iterable[Atom], rules: Iterable[ExistentialRule], max_rank: int
     """Breadth-first restricted chase up to max_rank (or fixpoint)."""
     if max_rank < 0:
         raise ValueError("max_rank must be >= 0")
-    state = ChaseState(atoms=set(), rank={})
-    state.atoms = _freeze_atoms(facts, state)
-    state.rank = {a: 0 for a in state.atoms}
+    state = ChaseState(facts)
     rules = list(rules)
     for r in range(1, max_rank + 1):
         if not _apply_round(state, rules, r):
@@ -108,12 +131,11 @@ def entails(
     """Bounded entailment: "yes" and "no" are certain; "unknown_at_bound" is
     returned when the rank bound or the optional atom budget is exhausted
     before the chase reaches a fixpoint."""
-    state = ChaseState(atoms=set(), rank={})
-    state.atoms = _freeze_atoms(facts, state)
-    state.rank = {a: 0 for a in state.atoms}
+    state = ChaseState(facts)
     rules = list(rules)
+    query = sorted_atoms(q.atoms)
     for r in range(max_rank + 1):
-        h = find_homomorphism(q.atoms, state.atoms)
+        h = find_homomorphism(query, state.index)
         if h is not None:
             return EntailmentVerdict("yes", witness=h, ranks_used=r)
         if max_atoms is not None and len(state.atoms) > max_atoms:
@@ -210,7 +232,8 @@ def verify_rewriting_set(
             fact_bases.extend(frozenset(f) for f in extra_facts)
         for f in fact_bases:
             if entails(f, rules, q, base_rank).is_yes:
-                if not any(find_homomorphism(qi.atoms, f) is not None for qi in ucq):
+                index = AtomIndex(f)
+                if not any(find_homomorphism(qi.atoms, index) is not None for qi in ucq):
                     report["complete_sampled"] = False
                     report["counterexamples"].append(
                         sorted(str(a) for a in sorted_atoms(f)))

@@ -1,7 +1,8 @@
 """Homomorphism search, the generality preorder, cores and covers."""
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from bisect import insort
+from typing import Iterable, Iterator, Optional, Union
 
 from .kb import (
     Atom,
@@ -48,22 +49,50 @@ def _try_match(src: Atom, tgt: Atom, binding: Substitution) -> Optional[Substitu
     return b
 
 
+def _buckets(atoms: Iterable[Atom]) -> dict[tuple[str, int], list[Atom]]:
+    """Distinct atoms by (predicate, arity), each bucket in Atom.sort_key order."""
+    out: dict[tuple[str, int], list[Atom]] = {}
+    for a in set(atoms):
+        out.setdefault((a.predicate, a.arity), []).append(a)
+    for bucket in out.values():
+        bucket.sort(key=Atom.sort_key)
+    return out
+
+
+class AtomIndex:
+    """A growing atom set kept as homomorphism target buckets.
+
+    Matching against an index skips the bucketing and sorting that a plain
+    iterable target costs on every call.
+    """
+
+    def __init__(self, atoms: Iterable[Atom] = ()):
+        self.buckets = _buckets(atoms)
+
+    def add(self, a: Atom) -> None:
+        """Insert a, which must not be in the index yet, in order."""
+        insort(self.buckets.setdefault((a.predicate, a.arity), []), a, key=Atom.sort_key)
+
+    def snapshot(self) -> "AtomIndex":
+        """A copy that later adds to this index do not change."""
+        out = AtomIndex()
+        out.buckets = {k: list(v) for k, v in self.buckets.items()}
+        return out
+
+
 def homomorphisms(
     source: Iterable[Atom],
-    target: Iterable[Atom],
+    target: Union[AtomIndex, Iterable[Atom]],
     binding: Optional[Substitution] = None,
 ) -> Iterator[Substitution]:
     """All substitutions h with h(source) a subset of target, extending binding.
 
     Backtracking search; the next atom to match is always the one with the
-    fewest remaining candidate target atoms.
+    fewest remaining candidate target atoms.  Candidates are tried in
+    Atom.sort_key order, whether target is an AtomIndex or a plain iterable.
     """
     src = list(source)
-    tgt_by_pred: dict[tuple[str, int], list[Atom]] = {}
-    for a in set(target):
-        tgt_by_pred.setdefault((a.predicate, a.arity), []).append(a)
-    for key in tgt_by_pred:
-        tgt_by_pred[key].sort(key=Atom.sort_key)
+    tgt_by_pred = target.buckets if isinstance(target, AtomIndex) else _buckets(target)
 
     def candidates(a: Atom, b: Substitution) -> list[Substitution]:
         out = []
@@ -88,7 +117,7 @@ def homomorphisms(
 
 def find_homomorphism(
     source: Iterable[Atom],
-    target: Iterable[Atom],
+    target: Union[AtomIndex, Iterable[Atom]],
     binding: Optional[Substitution] = None,
 ) -> Optional[Substitution]:
     for h in homomorphisms(source, target, binding):

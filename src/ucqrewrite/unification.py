@@ -127,10 +127,7 @@ def partition_by_position(atoms: Iterable[Atom]) -> TermPartition:
     return TermPartition(zip(*(a.args for a in atoms)))
 
 
-def unifiable(q_atoms: Iterable[Atom], rule: ExistentialRule) -> bool:
-    """Can q_atoms be unified with the (atomic) head, respecting existentials?"""
-    head = rule.head_atom
-    pp = partition_by_position(list(q_atoms) + [head])
+def _unifiable(pp: TermPartition, rule: ExistentialRule) -> bool:
     ex = rule.existentials
     fr = rule.frontier
     for cls in pp.classes():
@@ -143,13 +140,7 @@ def unifiable(q_atoms: Iterable[Atom], rule: ExistentialRule) -> bool:
     return True
 
 
-def sticky_variables(
-    q: ConjunctiveQuery, q_atoms: Iterable[Atom], rule: ExistentialRule
-) -> frozenset[Term]:
-    """Separating variables landing in a class with an existential variable."""
-    q_atoms = frozenset(q_atoms)
-    sep = separating_vars(q, q_atoms)
-    pp = partition_by_position(list(q_atoms) + [rule.head_atom])
+def _sticky(pp: TermPartition, sep: frozenset[Term], rule: ExistentialRule) -> frozenset[Term]:
     sticky = set()
     for cls in pp.classes():
         if cls & rule.existentials:
@@ -157,12 +148,27 @@ def sticky_variables(
     return frozenset(sticky)
 
 
+def unifiable(q_atoms: Iterable[Atom], rule: ExistentialRule) -> bool:
+    """Can q_atoms be unified with the (atomic) head, respecting existentials?"""
+    return _unifiable(partition_by_position(list(q_atoms) + [rule.head_atom]), rule)
+
+
+def sticky_variables(
+    q: ConjunctiveQuery, q_atoms: Iterable[Atom], rule: ExistentialRule
+) -> frozenset[Term]:
+    """Separating variables landing in a class with an existential variable."""
+    q_atoms = frozenset(q_atoms)
+    pp = partition_by_position(list(q_atoms) + [rule.head_atom])
+    return _sticky(pp, separating_vars(q, q_atoms), rule)
+
+
 def single_piece_unifiers(q: ConjunctiveQuery, rule: ExistentialRule) -> list[PieceUnifier]:
     """All most general single-piece unifiers of q with an atomic-head rule.
 
     Grows a candidate piece by sticky-variable closure; accepted pieces are
     removed from the pool, a failed seed alone is removed.  The rule is
-    assumed variable-disjoint from q.
+    assumed variable-disjoint from q.  Each grown piece's positionwise
+    partition is built once.
     """
     if not rule.has_atomic_head:
         raise ValueError("single_piece_unifiers requires an atomic-head rule")
@@ -172,16 +178,17 @@ def single_piece_unifiers(q: ConjunctiveQuery, rule: ExistentialRule) -> list[Pi
     while pool:
         seed = min(pool, key=Atom.sort_key)
         piece = {seed}
-        while piece <= pool and unifiable(piece, rule):
-            sticky = sticky_variables(q, piece, rule)
+        while piece <= pool:
+            pp = partition_by_position(sorted_atoms(piece) + [head])
+            if not _unifiable(pp, rule):
+                break
+            sticky = _sticky(pp, separating_vars(q, piece), rule)
             if not sticky:
-                part = partition_by_position(sorted_atoms(piece) + [head])
-                out.append(PieceUnifier(frozenset(piece), rule.head, part, rule))
+                out.append(PieceUnifier(frozenset(piece), rule.head, pp, rule))
                 pool -= piece
                 break
             piece |= {a for a in q.atoms if a.variables() & sticky}
-        else:
-            pool.discard(seed)
+        pool.discard(seed)  # already gone if its piece was accepted
     return out
 
 

@@ -1,8 +1,14 @@
 """Bounded restricted chase and the freeze-and-chase verification harness."""
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ucqrewrite
 from ucqrewrite import (
     Limits,
     atom,
@@ -12,7 +18,9 @@ from ucqrewrite import (
     const,
     cq,
     entails,
+    find_homomorphism,
     freeze_query,
+    homomorphisms,
     make_operator,
     rewrite,
     rule,
@@ -20,6 +28,8 @@ from ucqrewrite import (
     verify_rewriting_set,
 )
 from ucqrewrite.chase import random_ground_atoms
+from ucqrewrite.homomorphism import apply_to_atom
+from ucqrewrite.kb import NULL_PREFIX, Atom, ConjunctiveQuery, sorted_atoms, vars_of
 
 x, y, z, u, v, w = (var(n) for n in "xyzuvw")
 a, b, c = const("a"), const("b"), const("c")
@@ -143,3 +153,148 @@ def test_verify_skips_completeness_when_guard_fired():
     res = RewritingResult(cover={q}, terminated=False)
     report = verify_rewriting_set(q, [], res, samples=3)
     assert report["complete_sampled"] is None
+
+
+def test_join_trigger_with_a_late_atom_fires_in_the_next_round():
+    join = rule("join", [atom("p", x, y), atom("q", y)], [atom("r", x)])
+    up = rule("up", [atom("t", x)], [atom("u", x)])
+    down = rule("down", [atom("u", x)], [atom("q", x)])
+    facts = [atom("p", a, b), atom("t", b)]
+    st2 = chase(facts, [join, up, down], max_rank=2)
+    assert st2.rank[atom("q", b)] == 2
+    assert atom("r", a) not in st2.atoms
+    st3 = chase(facts, [join, up, down], max_rank=3)
+    assert st3.rank[atom("r", a)] == 3
+
+
+HASH_PROBE = """
+from ucqrewrite import atom, chase, const, rule, var
+a, b, c, d = (const(n) for n in "abcd")
+rules = [rule(f"r{i}", [atom("p", var(f"X{i}"), var(f"Y{i}")), atom("q", var(f"Y{i}"))],
+              [atom(f"s{i}", var(f"X{i}"), var(f"E{i}"), var(f"F{i}"))]) for i in range(4)]
+st = chase([atom("p", a, d), atom("p", c, b), atom("q", b), atom("q", d)], rules, 2)
+print(sorted(f"{at}@{st.rank[at]}" for at in st.atoms))
+"""
+
+
+def test_null_numbering_does_not_follow_the_hash_seed():
+    # Two existentials per head, and two-atom bodies whose atoms tie on
+    # candidates: the order of either set decides which trigger gets which nulls.
+    src = str(Path(ucqrewrite.__file__).resolve().parent.parent)
+    printed = []
+    for seed in ("0", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", HASH_PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        printed.append(proc.stdout)
+    assert printed[0] == printed[1]
+    assert "__n5" in printed[0]
+
+
+# The oracle: a chase round with no index and no skipped triggers.  Every
+# trigger of the round-start instance gets a restricted check against the
+# whole instance.  Triggers and nulls come in the same order as in ``chase``.
+def naive_round(atoms, rank_of, rules, rank, nulls):
+    added = False
+    snapshot = frozenset(atoms)
+    for r in rules:
+        for h in homomorphisms(sorted_atoms(r.body), snapshot):
+            trigger = sorted_atoms(apply_to_atom(h, at) for at in r.head)
+            if find_homomorphism(trigger, atoms) is not None:
+                continue
+            ex_map = {}
+            for e in sorted(r.existentials):
+                ex_map[e] = const(f"{NULL_PREFIX}{len(nulls)}")
+                nulls.append(ex_map[e])
+            for at in trigger:
+                grounded = Atom(at.predicate, tuple(ex_map.get(t, t) for t in at.args))
+                if grounded not in atoms:
+                    atoms.add(grounded)
+                    rank_of[grounded] = rank
+                    added = True
+    return added
+
+
+def naive_chase(facts, rules, max_rank):
+    atoms, nulls = set(facts), []
+    rank_of = {at: 0 for at in atoms}
+    for r in range(1, max_rank + 1):
+        if not naive_round(atoms, rank_of, rules, r, nulls):
+            break
+    return rank_of, len(nulls)
+
+
+def naive_entails(facts, rules, q, max_rank, max_atoms):
+    atoms, nulls = set(facts), []
+    rank_of = {at: 0 for at in atoms}
+    for r in range(max_rank + 1):
+        if find_homomorphism(q.atoms, atoms) is not None:
+            return "yes", r
+        if len(atoms) > max_atoms or r == max_rank:
+            return "unknown_at_bound", r
+        if not naive_round(atoms, rank_of, rules, r + 1, nulls):
+            return "no", r
+
+
+ARITY = {"p": 2, "q": 1, "r": 2}
+E, F = var("E"), var("F")
+
+
+def atom_over(draw, terms):
+    pred = draw(st.sampled_from(sorted(ARITY)))
+    return atom(pred, *(draw(st.sampled_from(terms)) for _ in range(ARITY[pred])))
+
+
+@st.composite
+def rule_strategy(draw, label):
+    """Mostly two-atom bodies joined on a variable, constants in bodies and
+    heads, and one or two existentials in the head."""
+    body = [atom_over(draw, [x, x, y, a])]
+    if draw(st.integers(0, 3)):
+        second = atom_over(draw, [x, y, z, b])
+        joined = draw(st.sampled_from(sorted(body[0].variables()) or [x]))
+        body.append(Atom(second.predicate, (joined,) + second.args[1:]))
+    body_vars = sorted(vars_of(body)) or [a]
+    args = [draw(st.sampled_from(body_vars)), E]
+    head = [atom(draw(st.sampled_from(["p", "r"])), *(args[::-1] if draw(st.booleans()) else args))]
+    if draw(st.integers(0, 2)):
+        second = atom_over(draw, body_vars + [F, F, b])
+        head.append(Atom(second.predicate, (E,) + second.args[1:]))
+    return rule(label, body, head)
+
+
+@st.composite
+def chase_case(draw):
+    rules = [draw(rule_strategy(f"r{i}")) for i in range(draw(st.integers(1, 4)))]
+    facts = {atom_over(draw, [a, b]) for _ in range(draw(st.integers(1, 6)))}
+    # a ground copy of some rule's body, so that at least one trigger exists
+    seeded = draw(st.sampled_from(rules))
+    ground = {t: draw(st.sampled_from([a, b])) for t in sorted(vars_of(seeded.body))}
+    facts |= {Atom(at.predicate, tuple(ground.get(t, t) for t in at.args)) for at in seeded.body}
+    return rules, facts
+
+
+@settings(max_examples=100, deadline=None)
+@given(chase_case(), st.integers(0, 4))
+def test_indexed_chase_matches_the_naive_chase(case, max_rank):
+    rules, facts = case
+    state = chase(facts, rules, max_rank)
+    rank_of, null_count = naive_chase(facts, rules, max_rank)
+    # same trigger order, so the same nulls, not only the same up to renaming
+    assert state.rank == rank_of
+    assert state.atoms == set(rank_of)
+    assert state.null_count == null_count
+
+
+@st.composite
+def query_strategy(draw):
+    return ConjunctiveQuery(frozenset(
+        atom_over(draw, [u, v, w, a]) for _ in range(draw(st.integers(1, 3)))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(chase_case(), query_strategy(), st.integers(0, 4))
+def test_indexed_entails_matches_the_naive_chase(case, q, max_rank):
+    rules, facts = case
+    verdict = entails(facts, rules, q, max_rank, max_atoms=60)
+    assert (verdict.value, verdict.ranks_used) == naive_entails(facts, rules, q, max_rank, 60)

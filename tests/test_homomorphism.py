@@ -19,7 +19,7 @@ from ucqrewrite import (
     more_general,
     var,
 )
-from ucqrewrite.homomorphism import apply_to_atoms
+from ucqrewrite.homomorphism import AtomIndex, apply_to_atoms
 from ucqrewrite.kb import signature, terms_of, vars_of
 
 x, y, z = var("x"), var("y"), var("z")
@@ -250,3 +250,42 @@ def test_boolean_query_covers_non_boolean_one():
 def test_signature_filter_never_rejects_a_more_general_pair(q1, q2):
     if more_general(q1, q2):
         assert signature(q1) <= signature(q2)
+
+
+# ground and non-ground atoms over two predicates at two arities each
+index_atom_strategy = st.builds(
+    lambda p, args: atom(p, *args),
+    st.sampled_from(["p", "q"]),
+    st.lists(st.sampled_from([x, y, a, b, c]), min_size=1, max_size=2),
+)
+
+
+@given(st.lists(index_atom_strategy, max_size=12, unique=True))
+def test_atom_index_buckets_stay_sorted(adds):
+    index = AtomIndex()
+    for at in adds:
+        index.add(at)
+    for (pred, arity), bucket in index.buckets.items():
+        assert bucket == sorted(bucket, key=lambda at: at.sort_key())
+        assert all(at.predicate == pred and at.arity == arity for at in bucket)
+    held = [at for bucket in index.buckets.values() for at in bucket]
+    assert len(held) == len(adds) and set(held) == set(adds)
+
+
+@given(st.sets(index_atom_strategy, min_size=1, max_size=3),
+       st.lists(index_atom_strategy, max_size=10))
+def test_index_target_enumerates_like_a_plain_target(src, target):
+    expected = list(homomorphisms(src, target))
+    assert list(homomorphisms(src, AtomIndex(target))) == expected
+    grown = AtomIndex()
+    for at in reversed(list(dict.fromkeys(target))):
+        grown.add(at)
+    assert list(homomorphisms(src, grown)) == expected
+
+
+def test_atom_index_snapshot_ignores_later_adds():
+    index = AtomIndex([atom("p", a)])
+    snap = index.snapshot()
+    index.add(atom("p", b))
+    assert [h[x] for h in homomorphisms([atom("p", x)], snap)] == [a]
+    assert [h[x] for h in homomorphisms([atom("p", x)], index)] == [a, b]
