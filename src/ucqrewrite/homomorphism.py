@@ -136,22 +136,22 @@ def equivalent(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
 
 
 def isomorphic(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
-    return len(q1.atoms) == len(q2.atoms) and equivalent(q1, q2)
+    return canonicalize(q1) == canonicalize(q2)
 
 
 def core(q: ConjunctiveQuery) -> ConjunctiveQuery:
-    """Remove redundant atoms until no single-atom retract remains."""
-    atoms = set(q.atoms)
-    changed = True
-    while changed and len(atoms) > 1:
-        changed = False
-        for a in sorted_atoms(atoms):
-            rest = atoms - {a}
-            if find_homomorphism(atoms, rest) is not None:
-                atoms = rest
-                changed = True
-                break
-    return ConjunctiveQuery(frozenset(atoms), q.answer_vars)
+    """Retract q onto its core in one pass: each atom a left is tested once.
+
+    If h maps the atoms into the atoms minus a, they become their image.  A
+    test that fails on a set fails on every retract of it, as the set maps
+    onto the retract, so every atom left has failed and no retract remains.
+    """
+    atoms = q.atoms
+    for a in sorted_atoms(q.atoms):
+        h = find_homomorphism(atoms, atoms - {a}) if a in atoms and len(atoms) > 1 else None
+        if h is not None:
+            atoms = apply_to_atoms(h, atoms)
+    return ConjunctiveQuery(atoms, q.answer_vars)
 
 
 def cover(

@@ -19,13 +19,14 @@ NULL_PREFIX = "__n"
 RESERVED_PREFIX = "__"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     """A variable or constant.  Machine-generated terms carry a fresh_index."""
 
     kind: str
     name: str
     fresh_index: Optional[int] = None
+    _key: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def is_variable(self) -> bool:
@@ -36,13 +37,11 @@ class Term:
         return self.kind == CONSTANT
 
     def sort_key(self):
-        # constants precede variables; within a kind lexicographic on
-        # (name, fresh_index), unindexed terms first
-        return (
-            0 if self.kind == CONSTANT else 1,
-            self.name,
-            -1 if self.fresh_index is None else self.fresh_index,
-        )
+        if self._key is None:  # computed once, on first use
+            # constants first, then by (name, fresh_index), unindexed terms first
+            index = -1 if self.fresh_index is None else self.fresh_index
+            object.__setattr__(self, "_key", (0 if self.kind == CONSTANT else 1, self.name, index))
+        return self._key
 
     def __lt__(self, other: "Term") -> bool:
         return self.sort_key() < other.sort_key()
@@ -61,10 +60,11 @@ def const(name: str, fresh_index: Optional[int] = None) -> Term:
     return Term(CONSTANT, name, fresh_index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     predicate: str
     args: tuple[Term, ...]
+    _key: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def arity(self) -> int:
@@ -77,7 +77,10 @@ class Atom:
         return frozenset(t for t in self.args if t.is_constant)
 
     def sort_key(self):
-        return (self.predicate, len(self.args), tuple(t.sort_key() for t in self.args))
+        if self._key is None:  # computed once, on first use
+            object.__setattr__(self, "_key", (
+                self.predicate, len(self.args), tuple([t.sort_key() for t in self.args])))
+        return self._key
 
     def __str__(self) -> str:
         return f"{self.predicate}({','.join(str(t) for t in self.args)})"
@@ -276,33 +279,88 @@ def signature(q: ConjunctiveQuery) -> frozenset[tuple[str, int]]:
     return frozenset(sig)
 
 
-def _canonical_step(q: ConjunctiveQuery) -> ConjunctiveQuery:
-    ordered = sorted_atoms(q.atoms)
-    mapping: dict[Term, Term] = {}
-    for a in ordered:
-        for t in a.args:
-            if t.is_variable and t not in mapping:
-                mapping[t] = Term(VARIABLE, "v", len(mapping))
-    atoms = frozenset(
-        Atom(a.predicate, tuple(mapping.get(t, t) for t in a.args)) for a in ordered
-    )
-    answer = tuple(mapping.get(t, t) for t in q.answer_vars)
-    return ConjunctiveQuery(atoms, answer)
+def _codes(rows: list, col: list[int]) -> list[tuple]:
+    """Each row's sort key with every variable i renamed v<col[i]>."""
+    return [(p, len(args), tuple([(1, "v", col[t]) if t.__class__ is int else t
+                                  for t in args])) for p, args in rows]
+
+
+def _refine(col: list[int], rows: list, occ: list) -> list[int]:
+    """Split cells by (row code, position) occurrences; a colour is a cell's start."""
+    while True:
+        cells: dict[int, list[int]] = {}
+        for i, c in enumerate(col):
+            cells.setdefault(c, []).append(i)
+        if len(cells) == len(col):
+            return col
+        codes, new = _codes(rows, col), list(col)
+        for c, members in [(c, m) for c, m in cells.items() if len(m) > 1]:
+            sig = {i: sorted([(codes[r], pos) for r, pos in occ[i]]) for i in members}
+            members.sort(key=sig.__getitem__)
+            for k in range(1, len(members)):
+                if sig[members[k]] != sig[members[k - 1]]:
+                    c = col[members[0]] + k
+                new[members[k]] = c
+        if new == col:
+            return col
+        col = new
 
 
 def canonicalize(q: ConjunctiveQuery) -> ConjunctiveQuery:
-    """Deterministic syntactic canonical form (dedup key, not iso-complete).
+    """q with its variables renamed v0, v1, ...: equal exactly for isomorphic q.
 
-    Renaming by first occurrence can reorder atoms, so the step function is
-    iterated until it cycles; the smallest element of the cycle is returned,
-    which makes the whole map idempotent.
+    Colour refinement, then individualization-refinement (McKay and Piperno,
+    J. Symb. Comput. 2014), constants and answer positions fixed: the least
+    leaf by (sort_key, answer keys), skipping branches automorphic to one seen.
     """
-    seen: dict[ConjunctiveQuery, int] = {}
-    seq: list[ConjunctiveQuery] = []
-    cur = q
-    while cur not in seen:
-        seen[cur] = len(seq)
-        seq.append(cur)
-        cur = _canonical_step(cur)
-    cycle = seq[seen[cur]:]
-    return min(cycle, key=lambda c: (c.sort_key(), c.answer_vars))
+    vs = sorted(q.variables())
+    n, index = len(vs), {v: i for i, v in enumerate(vs)}
+    # the atoms, then the answer tuple; variables as indices, constants as keys
+    rows = [(p, tuple([index[t] if t in index else t.sort_key() for t in args])) for p, args
+            in [(a.predicate, a.args) for a in q.atoms] + [(ANS_PREDICATE, q.answer_vars)]]
+    row_set, occ = set(rows[:-1]), [[] for _ in vs]
+    for r, (_, args) in enumerate(rows):
+        for pos, t in enumerate(args):
+            if t.__class__ is int:
+                occ[t].append((r, pos))
+
+    def swap_is_automorphism(u, w):
+        # members of one cell never occur in the answer tuple: positions differ
+        return all((p, tuple([w if t == u else u if t == w else t for t in args])) in row_set
+                   for p, args in (rows[r] for r, _ in occ[u] + occ[w]))
+
+    best = _refine([0] * n, rows, occ)
+    stack = [(best, (), [])] if len(set(best)) < n else []
+    best_key, best_path, automorphisms = None, None, []
+    while stack:
+        col, prefix, covered = stack[-1]
+        c = next(x for k, x in enumerate(sorted(col)) if x != k)  # first non-singleton cell
+        gens = [g for g in automorphisms if all(g[i] == i for i in prefix)]
+        orbit = set(covered)
+        while not orbit >= (grown := {g[i] for g in gens for i in orbit}):
+            orbit |= grown
+        for w in [i for i in range(n) if col[i] == c and i not in covered]:
+            covered.append(w)
+            if w not in orbit and not any(swap_is_automorphism(t, w) for t in covered[:-1]):
+                break
+        else:
+            stack.pop()
+            continue
+        child = _refine([x + (i != w) if x == c else x for i, x in enumerate(col)], rows, occ)
+        path = prefix + (w,)
+        if len(set(child)) < n:
+            stack.append((child, path, []))
+            continue
+        codes = _codes(rows, child)
+        key = tuple(sorted(codes[:-1])), codes[-1][2]
+        if best_key is None or key < best_key:
+            best, best_key, best_path = child, key, path
+        elif key == best_key:
+            # the leaves differ by an automorphism, and so do the subtrees below
+            # the node where their paths part: leave the newer subtree
+            inverse = sorted(range(n), key=best.__getitem__)
+            automorphisms.append([inverse[c] for c in child])
+            del stack[next(k for k, (a, b) in enumerate(zip(path, best_path)) if a != b) + 1:]
+    names = {v: Term(VARIABLE, "v", best[i]) for i, v in enumerate(vs)}
+    atoms = frozenset(Atom(a.predicate, tuple(names.get(t, t) for t in a.args)) for a in q.atoms)
+    return ConjunctiveQuery(atoms, tuple(names.get(t, t) for t in q.answer_vars))

@@ -26,13 +26,13 @@ OPERATOR_KINDS = ("full-piece", "single-piece", "aggregated")
 
 
 def beta(q: ConjunctiveQuery, rule: ExistentialRule, mu: PieceUnifier) -> ConjunctiveQuery:
-    """One-step rewriting u(body) + u(q minus unified part), canonicalized."""
+    """One-step rewriting u(body) + u(q minus unified part), not canonicalized."""
     problems = validate_piece_unifier(q, mu)
     if problems:
         raise ValueError("invalid piece-unifier: " + "; ".join(problems))
     u = mu.substitution()
     atoms = apply_to_atoms(u, rule.body) | apply_to_atoms(u, q.atoms - mu.q_part)
-    return canonicalize(ConjunctiveQuery(atoms, ()))
+    return ConjunctiveQuery(atoms, ())
 
 
 @dataclass

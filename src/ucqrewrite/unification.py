@@ -242,55 +242,35 @@ def enumerate_aggregated(
     rule: ExistentialRule,
     counter: Optional[FreshCounter] = None,
 ) -> list[AggregatedUnifier]:
-    """Levelwise closure of compatible aggregations of single-piece unifiers.
+    """Every compatible aggregation of single-piece unifiers, depth first.
 
     Each member set uses pairwise variable-disjoint freshened copies of the
-    rule; member sets are deduplicated by their q_parts.
+    rule; each subset of the base q_parts is built once.
     """
     counter = counter or FreshCounter()
-    first = freshen_rule(rule, counter)
-    base = single_piece_unifiers(q, first)
-    k = len(base)
-    if k == 0:
+    base = single_piece_unifiers(q, freshen_rule(rule, counter))
+    if not base:
         return []
     # one variable-disjoint rule copy per potential member slot
-    slots: list[dict[frozenset[Atom], PieceUnifier]] = []
-    slots.append({m.q_part: m for m in base})
-    for _ in range(1, k):
-        copy = freshen_rule(rule, counter)
-        slots.append({m.q_part: m for m in single_piece_unifiers(q, copy)})
+    slots = [{m.q_part: m for m in base}] + [
+        {m.q_part: m for m in single_piece_unifiers(q, freshen_rule(rule, counter))}
+        for _ in base[1:]]
 
     parts = sorted((m.q_part for m in base), key=lambda p: min(a.sort_key() for a in p))
 
-    def build(subset: tuple[frozenset[Atom], ...]) -> Optional[AggregatedUnifier]:
-        members = [slots[i][p] for i, p in enumerate(subset)]
-        return aggregate(members)
-
     out: list[AggregatedUnifier] = []
-    level: list[tuple[frozenset[Atom], ...]] = []
-    for p in parts:
-        agg = build((p,))
-        if agg is not None:
-            out.append(agg)
-            level.append((p,))
-    while level:
-        nxt: list[tuple[frozenset[Atom], ...]] = []
-        seen: set[frozenset[frozenset[Atom]]] = set()
-        for subset in level:
-            for p in parts:
-                if p in subset:
-                    continue
-                key = frozenset(subset) | {p}
-                if key in seen:
-                    continue
-                seen.add(key)
-                cand = tuple(sorted(subset + (p,),
-                                    key=lambda x: min(a.sort_key() for a in x)))
-                agg = build(cand)
-                if agg is not None:
-                    out.append(agg)
-                    nxt.append(cand)
-        level = nxt
+
+    def extend(subset: tuple[frozenset[Atom], ...], start: int) -> None:
+        # a failed aggregate stays failed under more members: parts overlap
+        # or the joined partition only merges more classes
+        for j in range(start, len(parts)):
+            cand = subset + (parts[j],)
+            agg = aggregate([slots[i][p] for i, p in enumerate(cand)])
+            if agg is not None:
+                out.append(agg)
+                extend(cand, j + 1)
+
+    extend((), 0)
     return out
 
 

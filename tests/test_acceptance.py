@@ -81,7 +81,7 @@ def test_acceptance_1_worked_examples():
         frozenset({var("U"), var("W"), var("X")}),
         frozenset({var("V"), var("Y")}),
     }
-    assert beta(q1, r1, pair[0]) == canonicalize(cq(atom("q", x), atom("r", x, x)))
+    assert canonicalize(beta(q1, r1, pair[0])) == canonicalize(cq(atom("q", x), atom("r", x, x)))
     # the stated fact base does not entail the query
     facts = parse_document(load("simple_existential_facts.dlgp")).fact_atoms()
     assert not entails(facts, [r1], q1, 4).is_yes

@@ -100,8 +100,9 @@ def test_query_serialization_is_canonical():
     vs = [var(f"V{i}") for i in range(11)]
     chain = cq(*(atom("r", vs[i], vs[i + 1]) for i in range(10)),
                answer_vars=(vs[10], const("a")))
-    links = ", ".join(f"r(X{i:02d},X{i + 1:02d})" for i in range(10))
-    assert query_to_dlgp(chain) == f"?(X10,a) :- {links}."
+    assert query_to_dlgp(chain) == (
+        "?(X00,a) :- r(X01,X02), r(X02,X04), r(X03,X00), r(X04,X06), r(X05,X03), "
+        "r(X06,X08), r(X07,X05), r(X08,X10), r(X09,X07), r(X10,X09).")
 
 
 def test_round_trip_document():
@@ -164,13 +165,11 @@ def wide_queries(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(wide_queries(), st.sets(st.integers(0, 10**6), min_size=14, max_size=14))
+@given(wide_queries(), st.lists(st.integers(0, 10**6), min_size=14, max_size=14, unique=True))
 def test_query_serialization_ignores_names_and_is_a_fixpoint(q, indices):
-    # The canonical form depends only on the order of the variables (it is not
-    # complete for isomorphism), so any order-keeping renaming prints the same.
     text = query_to_dlgp(q)
     vs = sorted(q.variables())
-    rename = {v: var("Z", i) for v, i in zip(vs, sorted(indices))}
+    rename = {v: var("Z", i) for v, i in zip(vs, indices)}
     renamed = cq(*(atom(a.predicate, *(rename.get(t, t) for t in a.args)) for a in q.atoms),
                  answer_vars=tuple(rename.get(t, t) for t in q.answer_vars))
     assert query_to_dlgp(renamed) == text

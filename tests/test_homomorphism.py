@@ -99,6 +99,9 @@ def test_equivalence_and_isomorphism():
     assert isomorphic(q1, q2)
     assert more_general(q1, q3) and not more_general(q3, q1)
     assert not isomorphic(q1, q3)
+    # equal size and equivalent, but not isomorphic
+    q4, q5 = cq(atom("r", x, y), atom("r", z, z)), cq(atom("r", x, x), atom("r", x, y))
+    assert equivalent(q4, q5) and not isomorphic(q4, q5)
 
 
 def test_core_removes_redundant_atom():

@@ -1,6 +1,10 @@
 """Terms, atoms, queries, rules, freshening and canonical forms."""
+import random
+import time
+from itertools import permutations
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ucqrewrite import (
     ConjunctiveQuery,
@@ -17,7 +21,7 @@ from ucqrewrite import (
     strip_answer_atom,
     var,
 )
-from ucqrewrite.kb import check_arities
+from ucqrewrite.kb import check_arities, vars_of
 
 x, y, z = var("x"), var("y"), var("z")
 a, b = const("a"), const("b")
@@ -130,3 +134,104 @@ def test_canonicalize_idempotent_property(atom_set):
     q = ConjunctiveQuery(frozenset(atom_set), ())
     c = canonicalize(q)
     assert canonicalize(c) == c
+
+
+def renamed(q, mapping):
+    def sub(t):
+        return mapping.get(t, t)
+    return cq(*(atom(at.predicate, *map(sub, at.args)) for at in q.atoms),
+              answer_vars=tuple(map(sub, q.answer_vars)))
+
+
+def brute_force_isomorphic(q1, q2):
+    """Try every bijection between the two queries' variables."""
+    v1, v2 = sorted(q1.variables()), sorted(q2.variables())
+    if len(v1) != len(v2):
+        return False
+    return any(renamed(q1, dict(zip(v1, perm))) == q2 for perm in permutations(v2))
+
+
+def test_canonical_form_ignores_the_order_of_names():
+    u, v = var("A"), var("B")
+    q1 = cq(atom("r", u, u), atom("r", v, u))
+    q2 = cq(atom("r", v, v), atom("r", u, v))
+    assert canonicalize(q1) == canonicalize(q2)
+
+
+ARITY = {"p": 1, "r": 2, "s": 3}
+
+
+@st.composite
+def small_queries(draw):
+    """Queries with at most 5 variables, constants and answer terms."""
+    vs = [var(f"V{i}") for i in range(draw(st.integers(1, 5)))]
+    terms = st.sampled_from(vs + [a, b])
+    atoms_ = set()
+    for _ in range(draw(st.integers(1, 6))):
+        pred = draw(st.sampled_from(sorted(ARITY)))
+        atoms_.add(atom(pred, *(draw(terms) for _ in range(ARITY[pred]))))
+    used = sorted(vars_of(atoms_))
+    answer = draw(st.lists(st.sampled_from(used + [a]), max_size=2))
+    return cq(*atoms_, answer_vars=tuple(answer))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_canonical_form_decides_isomorphism(data):
+    q1 = data.draw(small_queries())
+    q2 = data.draw(small_queries())
+    if data.draw(st.booleans()):  # an arbitrary renaming of q1
+        vs = sorted(q1.variables())
+        names = data.draw(st.permutations([var(f"W{i}") for i in range(len(vs))]))
+        q2 = renamed(q1, dict(zip(vs, names)))
+    assert (canonicalize(q1) == canonicalize(q2)) == brute_force_isomorphic(q1, q2)
+
+
+def _cycles(lengths, both_ways=False):
+    """Disjoint r-cycles: colour refinement alone cannot tell their variables apart."""
+    out = []
+    for i, n in enumerate(lengths):
+        c = [var(f"C{i}_{j}") for j in range(n)]
+        out += [atom("r", c[j], c[(j + 1) % n]) for j in range(n)]
+        if both_ways:
+            out += [atom("r", c[(j + 1) % n], c[j]) for j in range(n)]
+    return out
+
+
+def _shuffled(q, rnd):
+    vs = sorted(q.variables())
+    shuffled = list(vs)
+    rnd.shuffle(shuffled)
+    return renamed(q, dict(zip(vs, shuffled)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(2, 5), min_size=1, max_size=4),
+       st.lists(st.integers(2, 5), min_size=1, max_size=4), st.booleans(), st.randoms())
+def test_canonical_form_decides_isomorphism_of_cycle_unions(lengths1, lengths2, both_ways, rnd):
+    q1 = cq(*_cycles(lengths1, both_ways))
+    q2 = _shuffled(cq(*_cycles(lengths2, both_ways)), rnd)
+    assert (canonicalize(q1) == canonicalize(q2)) == (sorted(lengths1) == sorted(lengths2))
+
+
+SYMMETRIC = {
+    "14 r(Vi,a)": [atom("r", var(f"V{i}"), a) for i in range(14)],
+    "7 disjoint 2-cycles": _cycles([2] * 7),
+    "5 disjoint 3-cycles": _cycles([3] * 5),
+    "complete digraph on 6": [atom("r", var(f"V{i}"), var(f"V{j}"))
+                              for i in range(6) for j in range(6) if i != j],
+    "hub with 6 s-2-cycle spokes": [
+        at for i in range(6) for at in (
+            atom("r", var("H"), var(f"A{i}")),
+            atom("s", var(f"A{i}"), var(f"B{i}")),
+            atom("s", var(f"B{i}"), var(f"A{i}")))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_canonical_form_of_symmetric_queries_is_fast_and_invariant(name):
+    q = cq(*SYMMETRIC[name])
+    start = time.monotonic()
+    c = canonicalize(q)
+    assert time.monotonic() - start < 2.0
+    assert canonicalize(_shuffled(q, random.Random(7))) == c

@@ -193,6 +193,30 @@ def test_aggregation_on_pair_merge_query():
     assert len(two.rule.body) == 2
 
 
+def test_aggregations_are_every_compatible_subset_of_the_base_parts():
+    # constants in the head and the query make some joins inadmissible
+    rng = random.Random(5)
+    pool = [var("U0"), var("U1"), a, b]
+    for _ in range(400):
+        head = atom("p", *(rng.choice([var("X0"), var("X0"), var("Y"), a]) for _ in range(2)))
+        r = rule("r", [atom("q", var("X0"), var("X1"))], [head])
+        q = cq(*(atom(rng.choice("pps"), rng.choice(pool), rng.choice(pool))
+                 for _ in range(rng.randint(1, 5))))
+        got = [tuple(m.q_part for m in ag.members) for ag in enumerate_aggregated(q, r)]
+        c = FreshCounter()
+        base = single_piece_unifiers(q, freshen_rule(r, c))
+        slots = [{m.q_part: m for m in base}] + [
+            {m.q_part: m for m in single_piece_unifiers(q, freshen_rule(r, c))}
+            for _ in base[1:]]
+        parts = sorted(slots[0], key=lambda p: min(at.sort_key() for at in p))
+        want = set()
+        for mask in range(1, 1 << len(parts)):
+            subset = tuple(p for i, p in enumerate(parts) if mask >> i & 1)
+            if aggregate([slots[i][p] for i, p in enumerate(subset)]) is not None:
+                want.add(subset)
+        assert len(got) == len(set(got)) and set(got) == want
+
+
 def test_aggregate_rejects_overlapping_parts():
     r = rule("r", [atom("p", x, y)], [atom("q", x, y)])
     q = cq(atom("q", u, v))
