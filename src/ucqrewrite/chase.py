@@ -13,8 +13,10 @@ from .kb import (
     Term,
     const,
     sorted_atoms,
+    strip_answer_atom,
     vars_of,
 )
+from .dlgp import query_to_dlgp
 from .homomorphism import (
     AtomIndex,
     Substitution,
@@ -205,14 +207,14 @@ def verify_rewriting_set(
         verdict = entails(freeze_query(qi), rules, q, base_rank)
         if not verdict.is_yes:  # retry once with a doubled rank before failing
             verdict = entails(freeze_query(qi), rules, q, 2 * base_rank)
-        entry = {"query": str(qi), "sound": verdict.is_yes,
+        entry = {"query": query_to_dlgp(strip_answer_atom(qi)), "sound": verdict.is_yes,
                  "ranks_used": verdict.ranks_used}
         report["rewritings"].append(entry)
         if not verdict.is_yes:
             report["sound"] = False
 
     # pairwise incomparable iff its own cover keeps every query
-    report["minimal"] = len(cover(explored=ucq, fresh=[])) == len(ucq)
+    report["minimal"] = len(cover(explored=[], fresh=ucq)) == len(ucq)
 
     if result.terminated:
         rng = random.Random(seed)

@@ -1,7 +1,7 @@
 """Command line front end: rewrite, verify and compare workflows.
 
-Exit codes: 0 success, 1 parse/validation error, 2 guard fired (partial
-output), 3 verification or cross-operator check failure.
+Exit codes: 0 success, 1 usage, parse, validation or file error, 2 guard
+fired (partial output), 3 verification or cross-operator check failure.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from .rewriting import Limits, OPERATOR_KINDS, make_operator, rewrite
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rules", required=True, help="dlgp file with the rule base")
     p.add_argument("--query", required=True, help="dlgp file with the query")
-    p.add_argument("--facts", help="dlgp file with fact bases (verify only)")
     p.add_argument("--operator", choices=OPERATOR_KINDS, default="aggregated")
     p.add_argument("--no-core-reduce", action="store_true",
                    help="do not core-reduce generated queries")
@@ -30,7 +29,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-generated", type=int, default=100_000)
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--json", action="store_true", help="emit JSON instead of dlgp")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--debug-invariants", action="store_true")
 
 
@@ -152,8 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="chase-based verification of a rewriting run")
     _add_common(p)
+    p.add_argument("--facts", help="dlgp file with fact bases")
     p.add_argument("--samples", type=int, default=30,
                    help="random fact bases for the completeness check")
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampled fact bases")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="run several operators side by side")
@@ -167,10 +167,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # a usage error exits 1, not 2 (a guard fired)
+        return 1 if e.code else 0
     try:
         return args.func(args)
-    except (DlgpError, FileNotFoundError, ValueError) as e:
+    except (DlgpError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -145,10 +145,12 @@ def core(q: ConjunctiveQuery) -> ConjunctiveQuery:
     If h maps the atoms into the atoms minus a, they become their image.  A
     test that fails on a set fails on every retract of it, as the set maps
     onto the retract, so every atom left has failed and no retract remains.
+    h maps each answer variable to itself.
     """
     atoms = q.atoms
+    fixed = {v: v for v in q.answer_vars if v.is_variable}
     for a in sorted_atoms(q.atoms):
-        h = find_homomorphism(atoms, atoms - {a}) if a in atoms and len(atoms) > 1 else None
+        h = find_homomorphism(atoms, atoms - {a}, fixed) if a in atoms and len(atoms) > 1 else None
         if h is not None:
             atoms = apply_to_atoms(h, atoms)
     return ConjunctiveQuery(atoms, q.answer_vars)
@@ -160,28 +162,21 @@ def cover(
 ) -> set[ConjunctiveQuery]:
     """Minimal subset covering explored + fresh under >=.
 
-    Within an equivalence class an explored element is always preferred to a
-    fresh one; remaining ties go to the smallest canonical form.  One pass
-    inserts each query, explored first, into a pairwise-incomparable kept
-    list, so each ordered pair is decided at most once.
+    explored must be pairwise incomparable, as the rewriting loop's result set
+    is, so no two explored queries are compared.  Each fresh query, in
+    ConjunctiveQuery.sort_key order, is dropped if a kept query is >= it, and
+    otherwise evicts every kept query it is >= and is kept.  So within an
+    equivalence class an explored query is preferred, then the least sort key.
     """
-    explored = list(explored)
-    explored_set = set(explored)
-    items = list(dict.fromkeys(explored + list(fresh)))
-    sigs = {q: signature(q) for q in items}
+    kept = list(explored)
+    fresh = sorted(fresh, key=ConjunctiveQuery.sort_key)
+    sigs = {q: signature(q) for q in kept + fresh}
 
     def ge(a: ConjunctiveQuery, b: ConjunctiveQuery) -> bool:
         return sigs[a] <= sigs[b] and more_general(a, b)
 
-    def pref_key(q: ConjunctiveQuery):
-        return (0 if q in explored_set else 1, canonicalize(q).sort_key(), q.sort_key())
-
-    kept: list[ConjunctiveQuery] = []
-    for x in items:
-        above = next((i for i, k in enumerate(kept) if ge(k, x)), None)
-        if above is None:
+    for x in fresh:
+        if not any(ge(k, x) for k in kept):
             kept = [k for k in kept if not ge(x, k)]
             kept.append(x)
-        elif ge(x, kept[above]) and pref_key(x) < pref_key(kept[above]):
-            kept[above] = x
     return set(kept)

@@ -111,7 +111,7 @@ def _check_invariants(qf, qe, op, rules, core_reduce):
     if not qe <= qf:
         raise InvariantViolation("frontier not contained in result set")
     # invariant 4: pairwise incomparable, i.e. the cover of qf keeps all of it
-    dropped = qf - cover(explored=qf, fresh=[])
+    dropped = qf - cover(explored=[], fresh=qf)
     if dropped:
         raise InvariantViolation(
             "comparable queries in result set: " + ", ".join(sorted(map(str, dropped))))
@@ -156,8 +156,7 @@ def rewrite(
             raw.extend(op(cur, rules))
         generated += len(raw)
         explored += len(qe)
-        fresh = sorted({process(x, core_reduce) for x in raw} - qf,
-                       key=ConjunctiveQuery.sort_key)
+        fresh = {process(x, core_reduce) for x in raw} - qf
         qc = cover(explored=qf, fresh=fresh)
         qe = qc - qf
         qf = qc

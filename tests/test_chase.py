@@ -155,6 +155,14 @@ def test_verify_skips_completeness_when_guard_fired():
     assert report["complete_sampled"] is None
 
 
+def test_verify_reports_comparable_cover_as_not_minimal():
+    from ucqrewrite.rewriting import RewritingResult
+
+    q = cq(atom("t", u))
+    res = RewritingResult(cover={q, cq(atom("t", u), atom("p", u, u))}, terminated=False)
+    assert verify_rewriting_set(q, [], res, samples=0)["minimal"] is False
+
+
 def test_join_trigger_with_a_late_atom_fires_in_the_next_round():
     join = rule("join", [atom("p", x, y), atom("q", y)], [atom("r", x)])
     up = rule("up", [atom("t", x)], [atom("u", x)])

@@ -81,6 +81,27 @@ def test_missing_file_exit_code(capsys):
     assert code == 1
 
 
+def test_usage_error_exit_code(capsys):
+    # 2 would read as "a guard fired"
+    code, _, err = run(capsys, "rewrite", "--query", RULES)
+    assert code == 1
+    assert "--rules" in err
+
+
+def test_directory_as_input_file(capsys, tmp_path):
+    code, out, err = run(capsys, "rewrite", "--rules", str(tmp_path), "--query", RULES)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_verify_only_flags_are_usage_errors_elsewhere(capsys):
+    for flags in (("--seed", "1"), ("--facts", RULES)):
+        code, _, err = run(capsys, "rewrite", "--rules", RULES, "--query", RULES, *flags)
+        assert code == 1
+        assert flags[0] in err
+
+
 def test_query_file_without_query(capsys, tmp_path):
     noq = write(tmp_path, "noq.dlgp", "p(a).\n")
     code, _, err = run(capsys, "rewrite", "--rules", RULES, "--query", noq)
@@ -174,6 +195,20 @@ def test_verify_with_facts_file(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--rules", RULES, "--query", RULES,
                        "--samples", "5", "--facts", facts)
     assert code == 0
+
+
+def test_verify_names_rewritings_as_rewrite_prints_them(capsys, tmp_path):
+    rules = write(tmp_path, "m.dlgp", "[r1] p(X,Y), s(Y) :- q(X).\n")
+    query = write(tmp_path, "q.dlgp", "?(U) :- p(U,V), s(V).\n")
+    code, out, _ = run(capsys, "rewrite", "--rules", rules, "--query", query)
+    assert code == 0
+    printed = out.splitlines()
+    code, out, _ = run(capsys, "verify", "--rules", rules, "--query", query,
+                       "--samples", "5")
+    assert code == 0
+    names = [e["query"] for e in json.loads(out)["rewritings"]]
+    assert any("__aux" in n for n in names)
+    assert sorted(n for n in names if "__aux" not in n) == printed
 
 
 def test_compare_table_and_exit(capsys):

@@ -1,13 +1,15 @@
 """Homomorphism search checked against a brute-force oracle; cores and covers."""
 import random
 from itertools import product
+from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 
 from ucqrewrite import (
     ConjunctiveQuery,
+    Limits,
     atom,
-    canonicalize,
+    attach_answer_atom,
     const,
     core,
     cover,
@@ -16,9 +18,12 @@ from ucqrewrite import (
     find_homomorphism,
     homomorphisms,
     isomorphic,
+    make_operator,
     more_general,
+    rewrite,
     var,
 )
+from ucqrewrite import homomorphism
 from ucqrewrite.homomorphism import AtomIndex, apply_to_atoms
 from ucqrewrite.kb import signature, terms_of, vars_of
 
@@ -116,6 +121,13 @@ def test_core_keeps_rigid_query():
     assert core(q).atoms == q.atoms
 
 
+def test_core_keeps_answer_variables():
+    q = cq(atom("p", x, y), atom("p", x, z), answer_vars=(y,))
+    assert core(q) == cq(atom("p", x, y), answer_vars=(y,))
+    res = rewrite(q, [], make_operator("aggregated"), Limits())
+    assert len(res.cover) == 1
+
+
 def test_cover_keeps_most_general_and_prefers_explored():
     q1 = cq(atom("p", x, y))           # most general
     q2 = cq(atom("p", y, z))           # isomorphic copy of q1
@@ -131,6 +143,23 @@ def test_cover_keeps_most_general_and_prefers_explored():
 def test_cover_of_disjoint_queries_keeps_all():
     qs = [cq(atom("p", x)), cq(atom("q", x)), cq(atom("r", x))]
     assert cover(explored=[], fresh=qs) == set(qs)
+
+
+def test_cover_never_compares_two_explored_queries():
+    # pairwise incomparable, and equal signatures, so only the search tells them apart
+    explored = [cq(atom("p", x, a)), cq(atom("p", a, x)), cq(atom("p", x, b))]
+    fresh = [cq(atom("p", a, b)), cq(atom("p", x, y))]
+    calls = []
+
+    def spy(q1, q2):
+        calls.append((q1, q2))
+        return more_general(q1, q2)
+
+    with patch.object(homomorphism, "more_general", spy):
+        got = cover(explored=explored, fresh=fresh)
+    assert got == {fresh[1]}
+    assert calls
+    assert not [c for c in calls if c[0] in explored and c[1] in explored]
 
 
 atoms_strategy = st.builds(
@@ -185,18 +214,20 @@ def test_cover_cardinality_independent_of_order():
         shuffled = pool[:]
         rng.shuffle(shuffled)
         cut = rng.randint(0, len(shuffled))
-        sizes.add(len(cover(explored=shuffled[:cut], fresh=shuffled[cut:])))
+        explored = reference_cover([], shuffled[:cut])
+        sizes.add(len(cover(explored=explored, fresh=shuffled[cut:])))
     assert len(sizes) == 1
 
 
 def reference_cover(explored, fresh):
     """Cover by brute force: the maximal >=-classes of explored + fresh, each
-    represented by its least (explored first, canonical form, form) member."""
+    represented by its least (explored first, sort key) member, the first
+    one given on a tie."""
     explored = list(explored)
     items = list(dict.fromkeys(explored + list(fresh)))
 
     def pref_key(q):
-        return (0 if q in explored else 1, canonicalize(q).sort_key(), q.sort_key())
+        return (0 if q in explored else 1, q.sort_key())
 
     kept = set()
     for q in items:
@@ -225,18 +256,29 @@ answer_query_strategy = st.builds(
 @settings(max_examples=150, deadline=None)
 @given(st.lists(answer_query_strategy, max_size=5),
        st.lists(answer_query_strategy, max_size=5))
-def test_cover_matches_reference(explored, fresh):
-    # explored is drawn freely, so it is often not pairwise incomparable
+def test_cover_matches_reference(drawn, fresh):
+    # cover requires explored to be pairwise incomparable, as the loop keeps it
+    explored = reference_cover([], drawn)
     assert cover(explored=explored, fresh=fresh) == reference_cover(explored, fresh)
 
 
 def test_cover_matches_reference_on_comparable_explored():
+    # the queries comparable to each other arrive fresh; explored is one query
     p_xy = cq(atom("p", x, y))
-    explored = [cq(atom("p", x, y), atom("q", y, z)), p_xy, cq(atom("p", y, z)),
-                cq(atom("p", x, x), answer_vars=(x,))]
-    fresh = [cq(atom("p", z, x)), cq(atom("q", x, y), answer_vars=(x,))]
+    explored = [cq(atom("p", x, y), atom("q", y, z))]
+    fresh = [p_xy, cq(atom("p", y, z)), cq(atom("p", x, x), answer_vars=(x,)),
+             cq(atom("p", z, x)), cq(atom("q", x, y), answer_vars=(x,))]
     got = cover(explored=explored, fresh=fresh)
-    assert got == reference_cover(explored, fresh) == {p_xy, fresh[1]}
+    assert got == reference_cover(explored, fresh) == {p_xy, fresh[-1]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(answer_query_strategy)
+def test_core_matches_brute_force_with_answer_variables(q):
+    k = core(q)
+    assert k.answer_vars == q.answer_vars
+    assert len(attach_answer_atom(k).atoms) == len(brute_force_core(attach_answer_atom(q)))
+    assert equivalent(k, q)
 
 
 def test_boolean_query_covers_non_boolean_one():

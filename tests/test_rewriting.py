@@ -155,6 +155,14 @@ def test_debug_invariants_detects_bad_operator():
                           lambda q: canonicalize(core(q)))
 
 
+def test_debug_invariants_detects_comparable_result_set():
+    from ucqrewrite.rewriting import _check_invariants
+
+    general, special = canonicalize(cq(atom("p", u, v))), canonicalize(cq(atom("p", u, u)))
+    with pytest.raises(InvariantViolation, match="comparable"):
+        _check_invariants({general, special}, set(), make_operator("aggregated"), [], True)
+
+
 def test_saturate_reaches_all_depths():
     r1 = rule("r1", [atom("t", x), atom("p", x, y)], [atom("r", y)])
     r2 = rule("r2", [atom("r", x), atom("p", x, y)], [atom("t", y)])
