@@ -51,7 +51,6 @@ from .unification import (
 )
 from .rewriting import (
     Limits,
-    RewritingOperator,
     RewritingResult,
     beta,
     make_operator,

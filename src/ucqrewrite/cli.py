@@ -21,8 +21,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rules", required=True, help="dlgp file with the rule base")
     p.add_argument("--query", required=True, help="dlgp file with the query")
     p.add_argument("--operator", choices=OPERATOR_KINDS, default="aggregated")
-    p.add_argument("--no-core-reduce", action="store_true",
-                   help="do not core-reduce generated queries")
     p.add_argument("--no-decompose", action="store_true",
                    help="keep non-atomic heads (full-piece operator only)")
     p.add_argument("--max-depth", type=int)
@@ -64,13 +62,10 @@ def _load(args):
 
 
 def _run(args, rules, query, operator: Optional[str] = None):
-    bcq = attach_answer_atom(query)
     limits = Limits(max_depth=args.max_depth, max_generated=args.max_generated,
                     timeout=args.timeout)
     op = make_operator(operator or args.operator)
-    return rewrite(bcq, rules, op, limits,
-                   core_reduce=not args.no_core_reduce,
-                   debug_invariants=args.debug_invariants)
+    return rewrite(query, rules, op, limits, debug_invariants=args.debug_invariants)
 
 
 def cmd_rewrite(args) -> int:

@@ -9,6 +9,7 @@ from .kb import (
     ConjunctiveQuery,
     ExistentialRule,
     FreshCounter,
+    attach_answer_atom,
     canonicalize,
     freshen_rule,
     signature,
@@ -35,13 +36,7 @@ def beta(q: ConjunctiveQuery, rule: ExistentialRule, mu: PieceUnifier) -> Conjun
     return ConjunctiveQuery(atoms, ())
 
 
-@dataclass
-class RewritingOperator:
-    name: str
-    generator: Callable[[ConjunctiveQuery, Iterable[ExistentialRule]], list[ConjunctiveQuery]]
-
-    def __call__(self, q, rules):
-        return self.generator(q, rules)
+Operator = Callable[[ConjunctiveQuery, Iterable[ExistentialRule]], list[ConjunctiveQuery]]
 
 
 def _unifiable_rules(q: ConjunctiveQuery,
@@ -54,7 +49,7 @@ def _unifiable_rules(q: ConjunctiveQuery,
     return [r for r in rules if any((h.predicate, h.arity) in sig for h in r.head)]
 
 
-def make_operator(kind: str, counter: Optional[FreshCounter] = None) -> RewritingOperator:
+def make_operator(kind: str, counter: Optional[FreshCounter] = None) -> Operator:
     """One-step rewriting: beta over each (rule copy, unifier) pair of kind."""
     counter = counter or FreshCounter()
 
@@ -73,10 +68,10 @@ def make_operator(kind: str, counter: Optional[FreshCounter] = None) -> Rewritin
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
 
-    def gen(q, rules):
+    def op(q, rules):
         return [beta(q, fr, mu) for r in _unifiable_rules(q, rules) for fr, mu in pairs(q, r)]
 
-    return RewritingOperator(kind, gen)
+    return op
 
 
 @dataclass
@@ -101,12 +96,12 @@ class InvariantViolation(AssertionError):
     pass
 
 
-def process(q: ConjunctiveQuery, core_reduce: bool) -> ConjunctiveQuery:
-    """The form a generated query is kept in: its core if asked, canonicalized."""
-    return canonicalize(core(q) if core_reduce else q)
+def process(q: ConjunctiveQuery) -> ConjunctiveQuery:
+    """The form a query is kept in: its core, canonicalized."""
+    return canonicalize(core(q))
 
 
-def _check_invariants(qf, qe, op, rules, core_reduce):
+def _check_invariants(qf, qe, op, rules):
     # invariant 1: frontier within result set
     if not qe <= qf:
         raise InvariantViolation("frontier not contained in result set")
@@ -118,28 +113,29 @@ def _check_invariants(qf, qe, op, rules, core_reduce):
     # invariant 2: result set covers one-step rewritings of explored queries
     for q in qf - qe:
         for r in op(q, rules):
-            rq = process(r, core_reduce)
-            if not any(more_general(c, rq) for c in qf):
-                raise InvariantViolation(f"uncovered rewriting of explored query: {rq}")
+            if not any(more_general(c, r) for c in qf):
+                raise InvariantViolation(f"uncovered rewriting of explored query: {r}")
 
 
 def rewrite(
     q: ConjunctiveQuery,
     rules: Iterable[ExistentialRule],
-    op: RewritingOperator,
+    op: Operator,
     limits: Optional[Limits] = None,
-    core_reduce: bool = True,
     debug_invariants: bool = False,
 ) -> RewritingResult:
     """Breadth-first cover maintenance over the one-step rewriting operator.
 
     Keeps a cover of everything generated so far, explored queries preferred,
-    and explores only the queries that survived the cover step.
+    and explores only the queries that survived the cover step.  The cover
+    sees the raw rewritings; each query it keeps is processed once, as it
+    enters the result set.  Answer variables are folded into an answer atom
+    first, so every rewriting keeps them.
     """
     rules = list(rules)
     limits = limits or Limits()
     start = time.monotonic()
-    q0 = process(q, core_reduce)
+    q0 = process(attach_answer_atom(q))
     qf: set[ConjunctiveQuery] = {q0}
     qe: set[ConjunctiveQuery] = {q0}
     generated = 0
@@ -156,14 +152,13 @@ def rewrite(
             raw.extend(op(cur, rules))
         generated += len(raw)
         explored += len(qe)
-        fresh = {process(x, core_reduce) for x in raw} - qf
-        qc = cover(explored=qf, fresh=fresh)
-        qe = qc - qf
-        qf = qc
+        qc = cover(explored=qf, fresh=raw)
+        qe = {process(x) for x in qc - qf}
+        qf = (qc & qf) | qe
         if qe:
             depth += 1
         if debug_invariants:
-            _check_invariants(qf, qe, op, rules, core_reduce)
+            _check_invariants(qf, qe, op, rules)
         if limits.max_generated is not None and generated > limits.max_generated:
             terminated = False
             break
@@ -183,23 +178,22 @@ def rewrite(
 def saturate(
     q: ConjunctiveQuery,
     rules: Iterable[ExistentialRule],
-    op: RewritingOperator,
+    op: Operator,
     depth: int,
-    core_reduce: bool = False,
 ) -> set[ConjunctiveQuery]:
     """Un-pruned k-saturation: every rewriting reachable in at most depth steps.
 
-    Deduplicates by canonical form only; no cover maintenance.
+    Deduplicates by canonical form only; no cores, no cover maintenance.
     """
     rules = list(rules)
-    q0 = process(q, core_reduce)
+    q0 = canonicalize(attach_answer_atom(q))
     seen: set[ConjunctiveQuery] = {q0}
     frontier = [q0]
     for _ in range(depth):
         nxt = []
         for cur in frontier:
             for r in op(cur, rules):
-                rq = process(r, core_reduce)
+                rq = canonicalize(r)
                 if rq not in seen:
                     seen.add(rq)
                     nxt.append(rq)

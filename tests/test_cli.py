@@ -1,5 +1,7 @@
 """Command line interface: subcommands, flags, output formats, exit codes."""
+import argparse
 import json
+import re
 
 import pytest
 
@@ -13,7 +15,7 @@ from ucqrewrite import (
     rewrite,
     serialize,
 )
-from ucqrewrite.cli import main
+from ucqrewrite.cli import build_parser, main
 
 from conftest import DATA
 
@@ -83,9 +85,12 @@ def test_missing_file_exit_code(capsys):
 
 def test_usage_error_exit_code(capsys):
     # 2 would read as "a guard fired"
-    code, _, err = run(capsys, "rewrite", "--query", RULES)
-    assert code == 1
-    assert "--rules" in err
+    for argv, flag in ((("--query", RULES), "--rules"),
+                       (("--rules", RULES, "--query", RULES, "--no-core-reduce"),
+                        "--no-core-reduce")):
+        code, _, err = run(capsys, "rewrite", *argv)
+        assert code == 1
+        assert flag in err
 
 
 def test_directory_as_input_file(capsys, tmp_path):
@@ -249,3 +254,15 @@ def test_bundled_data_files_load(capsys):
     assert code == 0
     stats = json.loads(out)["stats"]
     assert stats["generated"] >= stats["output"]
+
+
+def test_readme_names_the_parser_flags():
+    readme = (DATA.parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    flags = {o for name in ("rewrite", "verify", "compare")
+             for a in subparsers.choices[name]._actions
+             for o in a.option_strings if o.startswith("--")} - {"--help"}
+    assert named == flags
