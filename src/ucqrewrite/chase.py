@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, KeysView, Optional
 
 from .kb import (
     Atom,
+    AtomIndex,
     ConjunctiveQuery,
     ExistentialRule,
     NULL_PREFIX,
@@ -18,7 +19,6 @@ from .kb import (
 )
 from .dlgp import query_to_dlgp
 from .homomorphism import (
-    AtomIndex,
     Substitution,
     apply_to_atom,
     cover,
@@ -28,18 +28,21 @@ from .homomorphism import (
 
 
 class ChaseState:
-    """A chase instance: its atoms, the rank of each, and an index over them.
+    """A chase instance: the rank of each of its atoms, and an index over them.
 
     The facts get rank 0, with their variables frozen to labelled nulls.
-    Every later atom goes into ``atoms``, ``rank`` and ``index`` together
-    through ``add``.
+    Every later atom goes into ``rank`` and ``index`` together through ``add``.
     """
 
     def __init__(self, facts: Iterable[Atom] = ()):
         self.null_count = 0
-        self.atoms: set[Atom] = _freeze_atoms(facts, self)
-        self.rank: dict[Atom, int] = dict.fromkeys(self.atoms, 0)
-        self.index = AtomIndex(self.atoms)
+        self.rank: dict[Atom, int] = dict.fromkeys(_freeze_atoms(facts, self), 0)
+        self.index = AtomIndex(self.rank)
+
+    @property
+    def atoms(self) -> KeysView[Atom]:
+        """The instance's atoms: a read-only view of rank's keys."""
+        return self.rank.keys()
 
     def fresh_null(self) -> Term:
         t = const(f"{NULL_PREFIX}{self.null_count}")
@@ -48,9 +51,8 @@ class ChaseState:
 
     def add(self, a: Atom, rank: int) -> bool:
         """Add a with the given rank; returns False if it was already present."""
-        if a in self.atoms:
+        if a in self.rank:
             return False
-        self.atoms.add(a)
         self.rank[a] = rank
         self.index.add(a)
         return True

@@ -1,16 +1,15 @@
 """Homomorphism search, the generality preorder, cores and covers."""
 from __future__ import annotations
 
-from bisect import insort
 from typing import Iterable, Iterator, Optional, Union
 
 from .kb import (
     Atom,
+    AtomIndex,
     ConjunctiveQuery,
     Term,
     attach_answer_atom,
     canonicalize,
-    signature,
     sorted_atoms,
 )
 
@@ -49,37 +48,6 @@ def _try_match(src: Atom, tgt: Atom, binding: Substitution) -> Optional[Substitu
     return b
 
 
-def _buckets(atoms: Iterable[Atom]) -> dict[tuple[str, int], list[Atom]]:
-    """Distinct atoms by (predicate, arity), each bucket in Atom.sort_key order."""
-    out: dict[tuple[str, int], list[Atom]] = {}
-    for a in set(atoms):
-        out.setdefault((a.predicate, a.arity), []).append(a)
-    for bucket in out.values():
-        bucket.sort(key=Atom.sort_key)
-    return out
-
-
-class AtomIndex:
-    """A growing atom set kept as homomorphism target buckets.
-
-    Matching against an index skips the bucketing and sorting that a plain
-    iterable target costs on every call.
-    """
-
-    def __init__(self, atoms: Iterable[Atom] = ()):
-        self.buckets = _buckets(atoms)
-
-    def add(self, a: Atom) -> None:
-        """Insert a, which must not be in the index yet, in order."""
-        insort(self.buckets.setdefault((a.predicate, a.arity), []), a, key=Atom.sort_key)
-
-    def snapshot(self) -> "AtomIndex":
-        """A copy that later adds to this index do not change."""
-        out = AtomIndex()
-        out.buckets = {k: list(v) for k, v in self.buckets.items()}
-        return out
-
-
 def homomorphisms(
     source: Iterable[Atom],
     target: Union[AtomIndex, Iterable[Atom]],
@@ -89,10 +57,10 @@ def homomorphisms(
 
     Backtracking search; the next atom to match is always the one with the
     fewest remaining candidate target atoms.  Candidates are tried in
-    Atom.sort_key order, whether target is an AtomIndex or a plain iterable.
+    Atom.sort_key order; a plain iterable target is indexed once, here.
     """
     src = list(source)
-    tgt_by_pred = target.buckets if isinstance(target, AtomIndex) else _buckets(target)
+    tgt_by_pred = (target if isinstance(target, AtomIndex) else AtomIndex(target)).buckets
 
     def candidates(a: Atom, b: Substitution) -> list[Substitution]:
         out = []
@@ -106,8 +74,8 @@ def homomorphisms(
         if not remaining:
             yield dict(b)
             return
-        scored = [(candidates(a, b), a) for a in remaining]
-        cands, best = min(scored, key=lambda p: len(p[0]))
+        # only the chosen atom's candidates stay alive while this level is suspended
+        cands, best = min(((candidates(a, b), a) for a in remaining), key=lambda p: len(p[0]))
         rest = [a for a in remaining if a is not best]
         for nb in cands:
             yield from search(rest, nb)
@@ -128,7 +96,7 @@ def find_homomorphism(
 def more_general(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
     """q1 >= q2: q1 maps homomorphically into q2 (on ans-augmented forms)."""
     a1, a2 = attach_answer_atom(q1), attach_answer_atom(q2)
-    return find_homomorphism(a1.atoms, a2.atoms) is not None
+    return find_homomorphism(a1.atoms, a2.index) is not None
 
 
 def equivalent(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
@@ -170,10 +138,9 @@ def cover(
     """
     kept = list(explored)
     fresh = sorted(fresh, key=ConjunctiveQuery.sort_key)
-    sigs = {q: signature(q) for q in kept + fresh}
 
     def ge(a: ConjunctiveQuery, b: ConjunctiveQuery) -> bool:
-        return sigs[a] <= sigs[b] and more_general(a, b)
+        return a.signature <= b.signature and more_general(a, b)
 
     for x in fresh:
         if not any(ge(k, x) for k in kept):

@@ -6,7 +6,9 @@ atom so the whole engine only ever deals with Boolean queries.
 """
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import count
 from typing import Iterable, Iterator, Optional
 
@@ -102,12 +104,39 @@ def sorted_atoms(atoms: Iterable[Atom]) -> list[Atom]:
     return sorted(atoms, key=Atom.sort_key)
 
 
+class AtomIndex:
+    """Distinct atoms grouped by (predicate, arity), each bucket in Atom.sort_key order.
+
+    The one place atoms are grouped by (predicate, arity): homomorphism
+    targets, a query's views and the chase instance all read these buckets.
+    """
+
+    def __init__(self, atoms: Iterable[Atom] = ()):
+        self.buckets: dict[tuple[str, int], list[Atom]] = {}
+        for a in set(atoms):
+            self.buckets.setdefault((a.predicate, a.arity), []).append(a)
+        for bucket in self.buckets.values():
+            bucket.sort(key=Atom.sort_key)
+
+    def add(self, a: Atom) -> None:
+        """Insert a, which must not be in the index yet, in order."""
+        insort(self.buckets.setdefault((a.predicate, a.arity), []), a, key=Atom.sort_key)
+
+    def snapshot(self) -> "AtomIndex":
+        """A copy that later adds to this index do not change."""
+        out = AtomIndex()
+        out.buckets = {k: list(v) for k, v in self.buckets.items()}
+        return out
+
+
 @dataclass(frozen=True)
 class ConjunctiveQuery:
     """A CQ as a set of atoms.  answer_vars is empty for Boolean queries.
 
     answer_vars may contain constants after rewriting steps bind an answer
-    position; variable entries must occur in the atom set.
+    position; variable entries must occur in the atom set.  The views index,
+    signature and sort_key are computed on first use and kept in the instance
+    __dict__, outside the fields, so equality and hashing never see them.
     """
 
     atoms: frozenset[Atom]
@@ -126,8 +155,32 @@ class ConjunctiveQuery:
     def variables(self) -> frozenset[Term]:
         return vars_of(self.atoms)
 
-    def sort_key(self):
-        return tuple(a.sort_key() for a in sorted_atoms(self.atoms))
+    @cached_property
+    def index(self) -> AtomIndex:
+        """The atoms (not the answer tuple) as an AtomIndex."""
+        return AtomIndex(self.atoms)
+
+    @cached_property
+    def signature(self) -> frozenset[tuple[str, int]]:
+        """(predicate, arity) pairs of the ans-augmented form.
+
+        q1 >= q2 needs q1.signature <= q2.signature (Chandra and Merlin, 1977),
+        and a rule has a piece-unifier with q only if a head atom's pair is in it.
+        """
+        if self.is_boolean:
+            return frozenset(self.index.buckets)
+        return frozenset(self.index.buckets) | {(ANS_PREDICATE, len(self.answer_vars))}
+
+    @cached_property
+    def _sort_key(self) -> tuple:
+        # Atom.sort_key starts with (predicate, arity): the buckets in key order
+        # hold the atoms in sort order
+        buckets = self.index.buckets
+        return tuple(a.sort_key() for k in sorted(buckets) for a in buckets[k])
+
+    def sort_key(self) -> tuple:
+        """The atoms' sort keys in Atom.sort_key order."""
+        return self._sort_key
 
     def __str__(self) -> str:
         body = " & ".join(str(a) for a in sorted_atoms(self.atoms))
@@ -265,18 +318,6 @@ def strip_answer_atom(q: ConjunctiveQuery) -> ConjunctiveQuery:
         raise ValueError(f"multiple {ANS_PREDICATE} atoms")
     ans = ans_atoms[0]
     return ConjunctiveQuery(q.atoms - {ans}, ans.args)
-
-
-def signature(q: ConjunctiveQuery) -> frozenset[tuple[str, int]]:
-    """(predicate, arity) pairs of q's ans-augmented form.
-
-    q1 >= q2 needs signature(q1) <= signature(q2) (Chandra and Merlin, 1977),
-    and a rule has a piece-unifier with q only if a head atom's pair is in it.
-    """
-    sig = {(a.predicate, a.arity) for a in q.atoms}
-    if not q.is_boolean:
-        sig.add((ANS_PREDICATE, len(q.answer_vars)))
-    return frozenset(sig)
 
 
 def _codes(rows: list, col: list[int]) -> list[tuple]:

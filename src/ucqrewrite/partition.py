@@ -68,13 +68,6 @@ def join(p1: TermPartition, p2: TermPartition) -> TermPartition:
     return TermPartition(p1.classes() + p2.classes())
 
 
-def join_all(parts: Iterable[TermPartition]) -> TermPartition:
-    out = TermPartition()
-    for p in parts:
-        out = join(out, p)
-    return out
-
-
 def is_admissible(p: TermPartition) -> bool:
     """No class holds two distinct constants."""
     return all(sum(1 for t in c if t.is_constant) <= 1 for c in p.classes())

@@ -12,7 +12,6 @@ from .kb import (
     attach_answer_atom,
     canonicalize,
     freshen_rule,
-    signature,
 )
 from .homomorphism import apply_to_atoms, core, cover, more_general
 from .unification import (
@@ -45,8 +44,7 @@ def _unifiable_rules(q: ConjunctiveQuery,
 
     No other rule has a piece-unifier with q (Baget et al., AIJ 2011).
     """
-    sig = signature(q)
-    return [r for r in rules if any((h.predicate, h.arity) in sig for h in r.head)]
+    return [r for r in rules if any((h.predicate, h.arity) in q.signature for h in r.head)]
 
 
 def make_operator(kind: str, counter: Optional[FreshCounter] = None) -> Operator:

@@ -4,6 +4,7 @@ oracle for general heads."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from typing import Iterable, Optional
 
@@ -24,7 +25,7 @@ from .partition import (
     associated_substitution,
     finer_than,
     is_admissible,
-    join_all,
+    join,
 )
 
 
@@ -173,7 +174,7 @@ def single_piece_unifiers(q: ConjunctiveQuery, rule: ExistentialRule) -> list[Pi
     if not rule.has_atomic_head:
         raise ValueError("single_piece_unifiers requires an atomic-head rule")
     head = rule.head_atom
-    pool = {a for a in q.atoms if a.predicate == head.predicate and a.arity == head.arity}
+    pool = set(q.index.buckets.get((head.predicate, head.arity), ()))
     out = []
     while pool:
         seed = min(pool, key=Atom.sort_key)
@@ -224,7 +225,7 @@ def aggregate(members: list[PieceUnifier]) -> Optional[AggregatedUnifier]:
         if m.q_part & taken:
             return None
         taken |= m.q_part
-    joined = join_all(m.partition for m in members)
+    joined = reduce(join, [m.partition for m in members])
     if not is_admissible(joined):
         return None
     agg_rule = aggregate_rules([m.rule for m in members])
@@ -311,27 +312,12 @@ def general_piece_unifiers(
 ) -> list[PieceUnifier]:
     """Exhaustive enumeration of most general piece-unifiers (oracle-grade).
 
-    Exponential by design; refuses inputs beyond the size caps.  For atomic
-    heads the finest candidate partition per q_part is the positionwise one,
-    so the enumeration collapses to subsets of the query.
+    Exponential by design; refuses inputs beyond the size caps.
     """
     if len(q.atoms) > max_query_atoms or len(rule.head) > max_head_atoms:
         raise ValueError("input beyond oracle size caps")
 
     out: list[PieceUnifier] = []
-    if rule.has_atomic_head:
-        head = rule.head_atom
-        cands = [a for a in sorted_atoms(q.atoms)
-                 if a.predicate == head.predicate and a.arity == head.arity]
-        for mask in range(1, 1 << len(cands)):
-            q_part = frozenset(a for i, a in enumerate(cands) if mask >> i & 1)
-            try:
-                pp = partition_by_position(sorted_atoms(q_part) + [head])
-            except ValueError:
-                continue
-            out.extend(_emit_minimal(q, q_part, rule.head, rule, [pp]))
-        return out
-
     head_atoms = sorted_atoms(rule.head)
     head_preds = {a.predicate for a in head_atoms}
     cands = [a for a in sorted_atoms(q.atoms) if a.predicate in head_preds]

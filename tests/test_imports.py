@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+module-level private name it defines is referenced somewhere in the package."""
 import ast
 from pathlib import Path
 
@@ -34,3 +35,41 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level private function, class and constant names (dunders excluded)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def references(tree: ast.Module) -> set[str]:
+    """Names read as a name or as an attribute."""
+    nodes = list(ast.walk(tree))
+    return ({n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = set().union(*map(references, trees.values()))
+    return sorted(f"{name}:{d}" for name, tree in trees.items()
+                  for d in private_definitions(tree) - used)
+
+
+def test_checker_finds_unreferenced_private_names():
+    sources = {"a.py": "_LIMIT = 3\n_DEAD: int = 4\n\ndef _helper():\n    return _LIMIT\n\n"
+                       "class _Gone:\n    pass\n\ndef __getattr__(name):\n    pass\n",
+               "b.py": "from . import a\n\ndef f():\n    return a._helper()\n"}
+    assert unreferenced_private_names(sources) == ["a.py:_DEAD", "a.py:_Gone"]
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ucqrewrite import (
+    Atom,
     ConjunctiveQuery,
     FreshCounter,
     KnowledgeBase,
@@ -21,7 +22,8 @@ from ucqrewrite import (
     strip_answer_atom,
     var,
 )
-from ucqrewrite.kb import check_arities, vars_of
+from ucqrewrite.kb import ANS_PREDICATE, check_arities, vars_of
+from conftest import random_linear_rules, random_query
 
 x, y, z = var("x"), var("y"), var("z")
 a, b = const("a"), const("b")
@@ -235,3 +237,25 @@ def test_canonical_form_of_symmetric_queries_is_fast_and_invariant(name):
     c = canonicalize(q)
     assert time.monotonic() - start < 2.0
     assert canonicalize(_shuffled(q, random.Random(7))) == c
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_cached_views_match_a_fresh_computation(seed, n_answers):
+    rng = random.Random(seed)
+    atoms = random_query(rng, random_linear_rules(rng, 3)).atoms
+    answers = tuple(rng.choice(sorted(vars_of(atoms)) + [a]) for _ in range(n_answers))
+    q = ConjunctiveQuery(atoms, answers)
+    twin = ConjunctiveQuery(frozenset(list(atoms)[::-1]), answers)
+    assert q == twin and hash(q) == hash(twin)
+    pairs = {(at.predicate, at.arity) for at in atoms}
+    assert q.index.buckets == {
+        k: sorted([at for at in atoms if (at.predicate, at.arity) == k], key=Atom.sort_key)
+        for k in pairs}
+    assert q.signature == pairs | ({(ANS_PREDICATE, n_answers)} if answers else set())
+    assert q.sort_key() == tuple(at.sort_key() for at in sorted(atoms, key=Atom.sort_key))
+    # views computed on one side only, then on both, never change equality or hash
+    assert q == twin and twin == q and hash(q) == hash(twin) and {q, twin} == {q}
+    assert (twin.index.buckets, twin.signature, twin.sort_key()) == (
+        q.index.buckets, q.signature, q.sort_key())
+    assert q == twin and hash(q) == hash(twin)
