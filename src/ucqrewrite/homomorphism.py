@@ -29,23 +29,25 @@ def apply_to_atoms(s: Substitution, atoms: Iterable[Atom]) -> frozenset[Atom]:
     return frozenset(apply_to_atom(s, a) for a in atoms)
 
 
-def _try_match(src: Atom, tgt: Atom, binding: Substitution) -> Optional[Substitution]:
-    b = binding
-    extended = False
-    for s, t in zip(src.args, tgt.args):
-        if s.is_constant:
-            if s != t:
-                return None
-        else:
-            cur = b.get(s)
-            if cur is None:
-                if not extended:
-                    b = dict(b)
-                    extended = True
-                b[s] = t
-            elif cur != t:
-                return None
-    return b
+def _narrow(domains, occurs, b, bound, chosen, narrowed) -> bool:
+    """Keep in each domain the targets that agree with the newly bound
+    variables, saving the old domains in narrowed; False once one empties."""
+    for s in bound:
+        val = b[s]
+        for j, k in occurs[s]:
+            if j != chosen:
+                narrowed.append((j, domains[j]))
+                d = domains[j] = [u for u in domains[j] if u.args[k] == val]
+                if not d:
+                    return False
+    return True
+
+
+def _undo(b, domains, bound, narrowed) -> None:
+    for s in bound:
+        del b[s]
+    for j, d in reversed(narrowed):
+        domains[j] = d
 
 
 def homomorphisms(
@@ -55,32 +57,77 @@ def homomorphisms(
 ) -> Iterator[Substitution]:
     """All substitutions h with h(source) a subset of target, extending binding.
 
-    Backtracking search; the next atom to match is always the one with the
-    fewest remaining candidate target atoms.  Candidates are tried in
-    Atom.sort_key order; a plain iterable target is indexed once, here.
+    Forward checking (Haralick and Elliott, AIJ 1980) over an explicit stack.
+    Each source atom has one domain: the target atoms of its bucket, in
+    Atom.sort_key order, that it still maps onto under the current binding.
+    Binding a candidate narrows only the domains of unbound atoms that share
+    a variable it newly binds, and drops the candidate at once if one of them
+    empties; moving on restores them.  The next atom to match is the unbound
+    one with the smallest domain, the first in source order on a tie, and its
+    candidates are tried in domain order.  A plain iterable target is indexed
+    once, here.
     """
     src = list(source)
-    tgt_by_pred = (target if isinstance(target, AtomIndex) else AtomIndex(target)).buckets
-
-    def candidates(a: Atom, b: Substitution) -> list[Substitution]:
-        out = []
-        for t in tgt_by_pred.get((a.predicate, a.arity), ()):
-            nb = _try_match(a, t, b)
-            if nb is not None:
-                out.append(nb)
-        return out
-
-    def search(remaining: list[Atom], b: Substitution) -> Iterator[Substitution]:
-        if not remaining:
-            yield dict(b)
+    buckets = (target if isinstance(target, AtomIndex) else AtomIndex(target)).buckets
+    b = dict(binding or {})
+    domains = []
+    slots = []  # per source atom: (variable, position) where each variable free in b first occurs
+    for a in src:
+        d = buckets.get((a.predicate, a.arity), ())
+        first = {}
+        for k, s in enumerate(a.args):
+            val = s if s.is_constant else b.get(s)
+            if val is not None:
+                d = [u for u in d if u.args[k] == val]
+            elif (k0 := first.setdefault(s, k)) != k:
+                d = [u for u in d if u.args[k] == u.args[k0]]
+        if not d:
             return
-        # only the chosen atom's candidates stay alive while this level is suspended
-        cands, best = min(((candidates(a, b), a) for a in remaining), key=lambda p: len(p[0]))
-        rest = [a for a in remaining if a is not best]
-        for nb in cands:
-            yield from search(rest, nb)
-
-    yield from search(src, dict(binding or {}))
+        domains.append(d)
+        slots.append(list(first.items()))
+    occurs = None  # variable -> [(source atom, position)], built when first needed
+    free = list(range(len(src)))
+    # one frame per matched atom: [atom, iterator over its candidates, variables
+    # the current candidate bound, (atom, domain) pairs it narrowed, atoms left free]
+    stack = []
+    while True:
+        if free:
+            best = free[0]
+            size = len(domains[best])
+            for i in free:
+                if len(domains[i]) < size:
+                    best, size = i, len(domains[i])
+            stack.append([best, iter(domains[best]), (), (), [i for i in free if i != best]])
+        else:
+            yield dict(b)
+        while stack:  # move the top frame on to its next candidate that empties no domain
+            frame = stack[-1]
+            i, cands, bound, narrowed, below = frame
+            _undo(b, domains, bound, narrowed)
+            for t in cands:
+                bound, narrowed = [], []
+                for s, k in slots[i]:
+                    if s not in b:
+                        b[s] = t.args[k]
+                        bound.append(s)
+                if not (bound and below):
+                    break
+                if occurs is None:
+                    occurs = {}
+                    for j, sl in enumerate(slots):
+                        for s, k in sl:
+                            occurs.setdefault(s, []).append((j, k))
+                if _narrow(domains, occurs, b, bound, i, narrowed):
+                    break
+                _undo(b, domains, bound, narrowed)
+            else:
+                stack.pop()
+                continue
+            frame[2:4] = bound, narrowed
+            free = below
+            break
+        else:
+            return
 
 
 def find_homomorphism(
@@ -113,14 +160,19 @@ def core(q: ConjunctiveQuery) -> ConjunctiveQuery:
     If h maps the atoms into the atoms minus a, they become their image.  A
     test that fails on a set fails on every retract of it, as the set maps
     onto the retract, so every atom left has failed and no retract remains.
-    h maps each answer variable to itself.
+    h maps each answer variable to itself.  The atoms are indexed once, and
+    again after each retraction; an atom alone in its bucket is never tested,
+    as nothing else can be its image.
     """
-    atoms = q.atoms
+    atoms, index = q.atoms, q.index
     fixed = {v: v for v in q.answer_vars if v.is_variable}
     for a in sorted_atoms(q.atoms):
-        h = find_homomorphism(atoms, atoms - {a}, fixed) if a in atoms and len(atoms) > 1 else None
+        if a not in atoms or len(index.buckets[(a.predicate, a.arity)]) == 1:
+            continue
+        h = find_homomorphism(atoms, index.without(a), fixed)
         if h is not None:
             atoms = apply_to_atoms(h, atoms)
+            index = AtomIndex(atoms)
     return ConjunctiveQuery(atoms, q.answer_vars)
 
 

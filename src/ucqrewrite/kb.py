@@ -128,6 +128,14 @@ class AtomIndex:
         out.buckets = {k: list(v) for k, v in self.buckets.items()}
         return out
 
+    def without(self, a: Atom) -> "AtomIndex":
+        """A copy without a, which must be in the index; it shares every bucket but a's."""
+        out = AtomIndex()
+        out.buckets = dict(self.buckets)
+        key = (a.predicate, a.arity)
+        out.buckets[key] = [x for x in self.buckets[key] if x != a]
+        return out
+
 
 @dataclass(frozen=True)
 class ConjunctiveQuery:

@@ -7,12 +7,49 @@ from pathlib import Path
 import pytest
 
 from ucqrewrite import Atom, ConjunctiveQuery, ExistentialRule, atom, const, cq, rule, var
+from ucqrewrite.kb import AtomIndex
 
 DATA = Path(__file__).parent / "data"
 
 
 def load(name: str) -> str:
     return (DATA / name).read_text()
+
+
+def reference_homomorphisms(source, target, binding=None):
+    """A plain recursive backtracking matcher, kept as an oracle for the
+    package's ``homomorphisms``: the same substitutions in the same order.
+
+    At every step it rescans each remaining atom's candidate bindings and
+    matches the atom with the fewest, the first in source order on a tie;
+    candidates come in the target buckets' order.
+    """
+    buckets = (target if isinstance(target, AtomIndex) else AtomIndex(target)).buckets
+
+    def extend(src, tgt, b):
+        b = dict(b)
+        for s, t in zip(src.args, tgt.args):
+            if s.is_constant:
+                if s != t:
+                    return None
+            elif b.setdefault(s, t) != t:
+                return None
+        return b
+
+    def candidates(a, b):
+        out = (extend(a, t, b) for t in buckets.get((a.predicate, a.arity), ()))
+        return [nb for nb in out if nb is not None]
+
+    def search(remaining, b):
+        if not remaining:
+            yield dict(b)
+            return
+        cands, best = min(((candidates(a, b), a) for a in remaining), key=lambda p: len(p[0]))
+        rest = [a for a in remaining if a is not best]
+        for nb in cands:
+            yield from search(rest, nb)
+
+    yield from search(list(source), dict(binding or {}))
 
 
 def random_linear_rules(

@@ -1,10 +1,11 @@
 """Homomorphism search checked against a brute-force oracle; cores and covers."""
 import random
+import time
 import tracemalloc
 from itertools import product
 from unittest.mock import patch
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ucqrewrite import (
     ConjunctiveQuery,
@@ -27,6 +28,8 @@ from ucqrewrite import (
 from ucqrewrite import homomorphism
 from ucqrewrite.homomorphism import AtomIndex, apply_to_atoms
 from ucqrewrite.kb import terms_of, vars_of
+
+from conftest import reference_homomorphisms
 
 x, y, z = var("x"), var("y"), var("z")
 a, b, c = const("a"), const("b"), const("c")
@@ -348,3 +351,58 @@ def test_search_keeps_only_the_chosen_atoms_candidates_alive():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+# source atoms with constants and repeated variables, over two predicates at two
+# arities; targets are drawn from every such atom over a, b and x, so that
+# sources of several atoms can have several images
+match_atom_strategy = st.builds(
+    lambda p, args: atom(p, *args),
+    st.sampled_from(["p", "q"]),
+    st.lists(st.sampled_from([x, y, z, a]), min_size=1, max_size=2),
+)
+MATCH_TARGETS = [atom(p, *args) for p in "pq" for n in (1, 2) for args in product([a, b, x], repeat=n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(match_atom_strategy, max_size=4),
+       st.lists(st.sampled_from(MATCH_TARGETS), max_size=18),
+       st.dictionaries(st.sampled_from([x, y, z]), st.sampled_from([x, a, b]), max_size=2))
+# a tie: the first atom in source order is matched first, its candidates in sort order
+@example([atom("p", x), atom("p", y)], [atom("p", b), atom("p", a)], {})
+# q(y) has the fewest candidates, so y varies slowest
+@example([atom("p", x), atom("q", y)],
+         [atom("p", a), atom("p", b), atom("p", x), atom("q", a), atom("q", b)], {})
+# q(x,y) is narrowed twice by one candidate, and must get its whole domain back
+@example([atom("p", x, y), atom("q", x, y)],
+         [atom("p", a, a), atom("p", b, b), atom("q", a, a), atom("q", b, b)], {})
+def test_search_yields_what_the_reference_matcher_yields_in_its_order(src, target, binding):
+    # the order fixes the chase's trigger order, and so its null numbering
+    expected = list(reference_homomorphisms(src, set(target), binding))
+    assert list(homomorphisms(src, set(target), binding)) == expected
+    assert list(homomorphisms(src, AtomIndex(target), binding)) == expected
+
+
+def test_atom_index_without_leaves_the_index_and_other_buckets_alone():
+    index = AtomIndex([atom("p", a), atom("p", b), atom("q", a)])
+    masked = index.without(atom("p", a))
+    assert masked.buckets[("p", 1)] == [atom("p", b)]
+    assert masked.buckets[("q", 1)] is index.buckets[("q", 1)]
+    assert index.buckets[("p", 1)] == [atom("p", a), atom("p", b)]
+
+
+def test_long_chain_maps_without_recursion():
+    # distinct predicates: one candidate per atom, but 1,200 atoms to bind in turn
+    chain = cq(*[atom(f"p{i}", var(f"V{i}"), var(f"V{i + 1}")) for i in range(1200)])
+    start = time.perf_counter()
+    assert find_homomorphism(chain.atoms, chain.index) is not None
+    assert more_general(chain, chain)
+    assert time.perf_counter() - start < 5
+
+
+def test_core_of_a_30_atom_path_is_quick():
+    # a path is its own core; every atom shares the one bucket, so each is tested
+    path = cq(*[atom("r", var(f"V{i}"), var(f"V{i + 1}")) for i in range(30)])
+    start = time.perf_counter()
+    assert core(path).atoms == path.atoms
+    assert time.perf_counter() - start < 5
