@@ -277,16 +277,21 @@ def check_arities(atoms: Iterable[Atom], known: Optional[dict[str, int]] = None)
 
 
 def freshen_rule(r: ExistentialRule, counter: FreshCounter) -> ExistentialRule:
-    """Rename all rule variables to globally fresh ones (one index per call)."""
+    """Rename all rule variables to fresh ones (one index per call).
+
+    The names take the reserved prefix, which neither ``canonicalize`` (``v<i>``)
+    nor the DLGP parser produces, so a copy shares no variable with a query
+    that does not use the prefix, and copies with distinct indices share none.
+    """
     k = counter.next()
     mapping: dict[Term, Term] = {}
     used: set[str] = set()
     for v in sorted(r.variables()):
         name = v.name if v.fresh_index is None else f"{v.name}{v.fresh_index}"
-        while name in used:
+        while name in used:  # x at index 1 must not clash with a variable named x1
             name += "_"
         used.add(name)
-        mapping[v] = Term(VARIABLE, name, k)
+        mapping[v] = Term(VARIABLE, RESERVED_PREFIX + name, k)
 
     def sub(a: Atom) -> Atom:
         return Atom(a.predicate, tuple(mapping.get(t, t) for t in a.args))

@@ -3,19 +3,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 from .kb import (
+    RESERVED_PREFIX,
     ConjunctiveQuery,
     ExistentialRule,
-    FreshCounter,
     attach_answer_atom,
     canonicalize,
-    freshen_rule,
 )
 from .homomorphism import apply_to_atoms, core, cover, more_general
 from .unification import (
     PieceUnifier,
+    RuleBase,
     enumerate_aggregated,
     general_piece_unifiers,
     single_piece_unifiers,
@@ -35,39 +35,41 @@ def beta(q: ConjunctiveQuery, rule: ExistentialRule, mu: PieceUnifier) -> Conjun
     return ConjunctiveQuery(atoms, ())
 
 
-Operator = Callable[[ConjunctiveQuery, Iterable[ExistentialRule]], list[ConjunctiveQuery]]
+Operator = Callable[[ConjunctiveQuery, Union[RuleBase, Iterable[ExistentialRule]]],
+                    list[ConjunctiveQuery]]
 
 
-def _unifiable_rules(q: ConjunctiveQuery,
-                     rules: Iterable[ExistentialRule]) -> list[ExistentialRule]:
-    """Rules with a head atom whose (predicate, arity) occurs in q.
+def make_operator(kind: str) -> Operator:
+    """One-step rewriting: beta over each unifier of kind, each with its rule copy.
 
-    No other rule has a piece-unifier with q (Baget et al., AIJ 2011).
+    The operator takes the rules as a RuleBase, or compiles a plain iterable
+    of rules for the one call.  A query with variables in the reserved
+    namespace, such as a raw rewriting, is rewritten in its canonical form, as
+    it may share variables with the rule copies.
     """
-    return [r for r in rules if any((h.predicate, h.arity) in q.signature for h in r.head)]
-
-
-def make_operator(kind: str, counter: Optional[FreshCounter] = None) -> Operator:
-    """One-step rewriting: beta over each (rule copy, unifier) pair of kind."""
-    counter = counter or FreshCounter()
-
     if kind == "aggregated":
 
-        def pairs(q, r):
-            return ((agg.rule, agg.merged) for agg in enumerate_aggregated(q, r, counter))
+        def unifiers(q, r):
+            return [agg.merged for agg in enumerate_aggregated(q, r)]
 
-    elif kind in ("single-piece", "full-piece"):
-        unifiers = single_piece_unifiers if kind == "single-piece" else general_piece_unifiers
+    elif kind == "single-piece":
 
-        def pairs(q, r):
-            fr = freshen_rule(r, counter)
-            return ((fr, mu) for mu in unifiers(q, fr))
+        def unifiers(q, r):
+            return single_piece_unifiers(q, r.copy(0))
+
+    elif kind == "full-piece":
+
+        def unifiers(q, r):
+            return general_piece_unifiers(q, r.copy(0).rule)
 
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
 
     def op(q, rules):
-        return [beta(q, fr, mu) for r in _unifiable_rules(q, rules) for fr, mu in pairs(q, r)]
+        base = rules if isinstance(rules, RuleBase) else RuleBase(rules)
+        if any(v.name.startswith(RESERVED_PREFIX) for v in q.variables()):
+            q = canonicalize(q)
+        return [beta(q, mu.rule, mu) for r in base.unifiable(q) for mu in unifiers(q, r)]
 
     return op
 
@@ -125,12 +127,13 @@ def rewrite(
     """Breadth-first cover maintenance over the one-step rewriting operator.
 
     Keeps a cover of everything generated so far, explored queries preferred,
-    and explores only the queries that survived the cover step.  The cover
-    sees the raw rewritings; each query it keeps is processed once, as it
-    enters the result set.  Answer variables are folded into an answer atom
-    first, so every rewriting keeps them.
+    and explores only the queries that survived the cover step.  The rules
+    are compiled once, into a RuleBase.  The cover sees the distinct raw
+    rewritings; each query it keeps is processed once, as it enters the result
+    set.  Answer variables are folded into an answer atom first, so every
+    rewriting keeps them.
     """
-    rules = list(rules)
+    rules = RuleBase(rules)
     limits = limits or Limits()
     start = time.monotonic()
     q0 = process(attach_answer_atom(q))
@@ -150,7 +153,8 @@ def rewrite(
             raw.extend(op(cur, rules))
         generated += len(raw)
         explored += len(qe)
-        qc = cover(explored=qf, fresh=raw)
+        # copies are fixed per rule, so equal raw rewritings coincide here
+        qc = cover(explored=qf, fresh=dict.fromkeys(raw))
         qe = {process(x) for x in qc - qf}
         qf = (qc & qf) | qe
         if qe:
@@ -183,7 +187,7 @@ def saturate(
 
     Deduplicates by canonical form only; no cores, no cover maintenance.
     """
-    rules = list(rules)
+    rules = RuleBase(rules)
     q0 = canonicalize(attach_answer_atom(q))
     seen: set[ConjunctiveQuery] = {q0}
     frontier = [q0]

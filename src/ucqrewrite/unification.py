@@ -3,18 +3,18 @@ atomic-head rules, aggregation of compatible unifiers, and an exhaustive
 oracle for general heads."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
+from . import kb
 from .kb import (
     Atom,
     ConjunctiveQuery,
     ExistentialRule,
     FreshCounter,
     Term,
-    freshen_rule,
     sorted_atoms,
     terms_of,
     vars_of,
@@ -37,9 +37,13 @@ class PieceUnifier:
     h_part: frozenset[Atom]
     partition: TermPartition
     rule: ExistentialRule
+    _substitution: Optional[Substitution] = field(default=None, init=False, repr=False)
 
     def substitution(self) -> Substitution:
-        return associated_substitution(self.partition)
+        """The partition's associated substitution, computed once, on first use."""
+        if self._substitution is None:
+            self._substitution = associated_substitution(self.partition)
+        return self._substitution
 
     def cutpoints(self) -> frozenset[Term]:
         """Unified query variables not merged with an existential variable."""
@@ -87,7 +91,7 @@ def validate_piece_unifier(q: ConjunctiveQuery, mu: PieceUnifier) -> list[str]:
                 "a non-separating query variable"
             )
             break
-    u = associated_substitution(mu.partition)
+    u = mu.substitution()
     if apply_to_atoms(u, mu.h_part) != apply_to_atoms(u, mu.q_part):
         problems.append("u(h_part) != u(q_part)")
     return problems
@@ -163,14 +167,80 @@ def sticky_variables(
     return _sticky(pp, separating_vars(q, q_atoms), rule)
 
 
-def single_piece_unifiers(q: ConjunctiveQuery, rule: ExistentialRule) -> list[PieceUnifier]:
+class RuleCopy:
+    """A rule renamed apart by ``kb.freshen_rule``, with the positionwise
+    partition of its head and each piece it has been tried on."""
+
+    def __init__(self, rule: ExistentialRule):
+        self.rule = rule
+        self._partitions: dict[frozenset[Atom], Optional[TermPartition]] = {}
+
+    def partition(self, piece: frozenset[Atom]) -> Optional[TermPartition]:
+        """The positionwise partition of piece + head; None when it is not unifiable."""
+        try:
+            return self._partitions[piece]
+        except KeyError:
+            pp = partition_by_position(sorted_atoms(piece) + [self.rule.head_atom])
+            self._partitions[piece] = pp = pp if _unifiable(pp, self.rule) else None
+            return pp
+
+
+class CompiledRule:
+    """One rule's copies, copy k built on first use, and the conjunction of
+    copies 0..m-1 for each member count m used."""
+
+    def __init__(self, rule: ExistentialRule):
+        self.rule = rule
+        self._counter = FreshCounter()
+        self._copies: list[RuleCopy] = []
+        self._aggregated: dict[int, ExistentialRule] = {}
+
+    def copy(self, k: int) -> RuleCopy:
+        """Copy k: its variables carry index k, so distinct copies are disjoint."""
+        while len(self._copies) <= k:
+            # called through its module, so a wrapper installed on kb's attribute sees it
+            self._copies.append(RuleCopy(kb.freshen_rule(self.rule, self._counter)))
+        return self._copies[k]
+
+    def aggregated(self, m: int) -> ExistentialRule:
+        """aggregate_rules over copies 0..m-1."""
+        agg = self._aggregated.get(m)
+        if agg is None:
+            agg = self._aggregated[m] = aggregate_rules([self.copy(k).rule for k in range(m)])
+        return agg
+
+
+class RuleBase:
+    """The rules of one rewriting run, compiled once: each rule's copies and
+    memos, and an index of the rules by the (predicate, arity) of their heads."""
+
+    def __init__(self, rules: Iterable[ExistentialRule]):
+        self.rules = [CompiledRule(r) for r in rules]
+        self._by_head: dict[tuple[str, int], list[int]] = {}
+        for i, c in enumerate(self.rules):
+            for key in {(h.predicate, h.arity) for h in c.rule.head}:
+                self._by_head.setdefault(key, []).append(i)
+
+    def unifiable(self, q: ConjunctiveQuery) -> list[CompiledRule]:
+        """The rules, in input order, with a head atom whose (predicate, arity)
+        occurs in q.  No other rule has a piece-unifier with q (Baget et al.,
+        AIJ 2011)."""
+        hits = {i for key in q.signature for i in self._by_head.get(key, ())}
+        return [self.rules[i] for i in sorted(hits)]
+
+
+def single_piece_unifiers(
+    q: ConjunctiveQuery, rule: Union[ExistentialRule, RuleCopy]
+) -> list[PieceUnifier]:
     """All most general single-piece unifiers of q with an atomic-head rule.
 
     Grows a candidate piece by sticky-variable closure; accepted pieces are
     removed from the pool, a failed seed alone is removed.  The rule is
-    assumed variable-disjoint from q.  Each grown piece's positionwise
-    partition is built once.
+    assumed variable-disjoint from q.  A plain rule gets a RuleCopy of its
+    own; a RuleCopy's partitions are reused across calls.
     """
+    copy = rule if isinstance(rule, RuleCopy) else RuleCopy(rule)
+    rule = copy.rule
     if not rule.has_atomic_head:
         raise ValueError("single_piece_unifiers requires an atomic-head rule")
     head = rule.head_atom
@@ -180,12 +250,13 @@ def single_piece_unifiers(q: ConjunctiveQuery, rule: ExistentialRule) -> list[Pi
         seed = min(pool, key=Atom.sort_key)
         piece = {seed}
         while piece <= pool:
-            pp = partition_by_position(sorted_atoms(piece) + [head])
-            if not _unifiable(pp, rule):
+            part = frozenset(piece)
+            pp = copy.partition(part)
+            if pp is None:
                 break
-            sticky = _sticky(pp, separating_vars(q, piece), rule)
+            sticky = _sticky(pp, separating_vars(q, part), rule)
             if not sticky:
-                out.append(PieceUnifier(frozenset(piece), rule.head, pp, rule))
+                out.append(PieceUnifier(part, rule.head, pp, rule))
                 pool -= piece
                 break
             piece |= {a for a in q.atoms if a.variables() & sticky}
@@ -216,8 +287,13 @@ class AggregatedUnifier:
     merged: PieceUnifier
 
 
-def aggregate(members: list[PieceUnifier]) -> Optional[AggregatedUnifier]:
-    """Merge compatible unifiers; None when parts overlap or the join breaks."""
+def aggregate(
+    members: list[PieceUnifier], rule: Optional[ExistentialRule] = None
+) -> Optional[AggregatedUnifier]:
+    """Merge compatible unifiers; None when parts overlap or the join breaks.
+
+    rule is aggregate_rules over the members' rules, built here when not given.
+    """
     if not members:
         raise ValueError("aggregate needs at least one member")
     taken: set[Atom] = set()
@@ -228,7 +304,7 @@ def aggregate(members: list[PieceUnifier]) -> Optional[AggregatedUnifier]:
     joined = reduce(join, [m.partition for m in members])
     if not is_admissible(joined):
         return None
-    agg_rule = aggregate_rules([m.rule for m in members])
+    agg_rule = rule if rule is not None else aggregate_rules([m.rule for m in members])
     merged = PieceUnifier(
         frozenset(taken),
         frozenset(a for m in members for a in m.h_part),
@@ -239,23 +315,22 @@ def aggregate(members: list[PieceUnifier]) -> Optional[AggregatedUnifier]:
 
 
 def enumerate_aggregated(
-    q: ConjunctiveQuery,
-    rule: ExistentialRule,
-    counter: Optional[FreshCounter] = None,
+    q: ConjunctiveQuery, rule: Union[ExistentialRule, CompiledRule]
 ) -> list[AggregatedUnifier]:
     """Every compatible aggregation of single-piece unifiers, depth first.
 
-    Each member set uses pairwise variable-disjoint freshened copies of the
-    rule; each subset of the base q_parts is built once.
+    Member slot k uses the rule's copy k, so the members are pairwise
+    variable-disjoint, and an aggregation of m members uses the rule's
+    aggregated rule over copies 0..m-1.  A plain rule is compiled here.  Each
+    subset of the base q_parts is built once.
     """
-    counter = counter or FreshCounter()
-    base = single_piece_unifiers(q, freshen_rule(rule, counter))
+    compiled = rule if isinstance(rule, CompiledRule) else CompiledRule(rule)
+    base = single_piece_unifiers(q, compiled.copy(0))
     if not base:
         return []
-    # one variable-disjoint rule copy per potential member slot
     slots = [{m.q_part: m for m in base}] + [
-        {m.q_part: m for m in single_piece_unifiers(q, freshen_rule(rule, counter))}
-        for _ in base[1:]]
+        {m.q_part: m for m in single_piece_unifiers(q, compiled.copy(k))}
+        for k in range(1, len(base))]
 
     parts = sorted((m.q_part for m in base), key=lambda p: min(a.sort_key() for a in p))
 
@@ -266,7 +341,8 @@ def enumerate_aggregated(
         # or the joined partition only merges more classes
         for j in range(start, len(parts)):
             cand = subset + (parts[j],)
-            agg = aggregate([slots[i][p] for i, p in enumerate(cand)])
+            agg = aggregate([slots[i][p] for i, p in enumerate(cand)],
+                            compiled.aggregated(len(cand)))
             if agg is not None:
                 out.append(agg)
                 extend(cand, j + 1)

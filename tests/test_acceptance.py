@@ -37,7 +37,6 @@ from ucqrewrite import (
 )
 from ucqrewrite.rewriting import beta
 from ucqrewrite.unification import enumerate_aggregated
-from ucqrewrite.kb import FreshCounter, freshen_rule
 
 from conftest import load, random_facts, random_linear_rules, random_query
 
@@ -203,7 +202,6 @@ def test_acceptance_4_aggregated_operator_is_prunable():
     rng = random.Random(7)
     violations = 0
     pairs = 0
-    counter = FreshCounter()
     while pairs < 1000:
         rules = random_linear_rules(rng, rng.randint(1, 3), n_preds=3, max_arity=2)
         q2 = random_query(rng, rules, max_atoms=4, n_vars=3)
@@ -213,7 +211,7 @@ def test_acceptance_4_aggregated_operator_is_prunable():
         if not more_general(q1, q2):
             continue
         pairs += 1
-        op = make_operator("aggregated", counter)
+        op = make_operator("aggregated")
         cover1 = [canonicalize(q1)] + [canonicalize(r) for r in op(q1, rules)]
         for r2 in op(q2, rules):
             rq = canonicalize(r2)
@@ -280,16 +278,15 @@ def test_acceptance_7_single_piece_closure_covers_bounded_depth():
     # a unifier with k pieces unfolds into at most k single-piece steps, so
     # depth-d rewritings are covered by the closure at depth d * max_pieces
     rng = random.Random(31)
-    counter = FreshCounter()
     checked = 0
     violations = 0
     while checked < 100:
         rules = random_linear_rules(rng, rng.randint(1, 3), n_preds=3, max_arity=2)
         q = random_query(rng, rules, max_atoms=3, n_vars=3)
         d = rng.randint(1, 3)
-        full = saturate(q, rules, make_operator("full-piece", counter), d)
+        full = saturate(q, rules, make_operator("full-piece"), d)
         max_atoms = max(len(fq.atoms) for fq in full) if full else 1
-        sp = saturate(q, rules, make_operator("single-piece", counter),
+        sp = saturate(q, rules, make_operator("single-piece"),
                       d * max(max_atoms, len(q.atoms)))
         checked += 1
         for fq in full:

@@ -21,6 +21,7 @@ from ucqrewrite import (
     saturate,
     var,
 )
+from ucqrewrite.dlgp import printed_cover
 from ucqrewrite.kb import ANS_PREDICATE, FreshCounter, attach_answer_atom, freshen_rule
 from ucqrewrite.rewriting import OPERATOR_KINDS, InvariantViolation, beta
 from conftest import DATA, random_linear_rules, random_query
@@ -246,3 +247,38 @@ def test_rules_with_heads_absent_from_query_change_no_rewriting(kind):
         padded = make_operator(kind)(q, extra[:1] + rules + extra[1:])
         assert sorted(map(canonicalize, plain), key=ConjunctiveQuery.sort_key) == \
             sorted(map(canonicalize, padded), key=ConjunctiveQuery.sort_key)
+
+
+@pytest.mark.parametrize("kind", OPERATOR_KINDS)
+def test_rule_copies_share_no_variable_with_the_query(kind):
+    # a rule copy once named its variable v at index k v<k>, as canonicalize
+    # names query variable k, so unifying p(Y,Y) with p(w,w) also merged X and Y
+    q = cq(atom("p", var("Y"), var("Y")), atom("t", var("X"), var("X"), var("Y")))
+
+    def printed(first, second):
+        r = rule("r", [atom("q", first, second)], [atom("p", second, second)])
+        return printed_cover(rewrite(q, [r], make_operator(kind)))
+
+    got = printed(var("v"), var("w"))
+    assert "? :- q(X0,X1), t(X2,X2,X1)." in got
+    assert got == printed(var("A"), var("B"))
+
+
+@pytest.mark.parametrize("kind", ("single-piece", "aggregated"))
+def test_rules_with_equal_head_copies_keep_their_own_existentials(kind):
+    # both heads copy to p(__x0,__y0), but only r1's second position is existential
+    r1 = rule("r1", [atom("q", x)], [atom("p", x, y)])
+    r2 = rule("r2", [atom("s", x, y)], [atom("p", x, y)])
+    for rules in ([r1, r2], [r2, r1]):
+        res = rewrite(cq(atom("p", u, u)), rules, make_operator(kind))
+        assert printed_cover(res) == ["? :- p(X0,X0).", "? :- s(X0,X0)."]
+
+
+@pytest.mark.parametrize("kind", OPERATOR_KINDS)
+def test_a_raw_rewriting_is_rewritten_like_its_canonical_form(kind):
+    # the raw rewriting q(__x0,u) holds copy 0's variables
+    r = rule("r", [atom("q", x, y)], [atom("q", y, z)])
+    op = make_operator(kind)
+    (raw,) = op(cq(atom("q", u, v)), [r])
+    assert {canonicalize(q) for q in op(raw, [r])} == \
+        {canonicalize(q) for q in op(canonicalize(raw), [r])} == {canonicalize(cq(atom("q", u, v)))}

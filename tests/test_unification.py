@@ -3,6 +3,7 @@ aggregation, and agreement with the exhaustive enumeration."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ucqrewrite import (
     PieceUnifier,
@@ -25,6 +26,8 @@ from ucqrewrite import (
     var,
 )
 from ucqrewrite.kb import FreshCounter, freshen_rule
+from ucqrewrite.unification import RuleBase
+from conftest import random_linear_rules, random_query
 
 x, y, z, t, u, v, w = (var(n) for n in "xyztuvw")
 a, b = const("a"), const("b")
@@ -266,3 +269,14 @@ def test_oracle_refuses_oversized_input():
     big = cq(*(atom("p", var(f"U{i}"), var(f"V{i}")) for i in range(11)))
     with pytest.raises(ValueError):
         general_piece_unifiers(big, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_rule_base_selects_the_rules_a_scan_of_the_heads_selects(rng):
+    rules = random_linear_rules(rng, rng.randint(1, 6))
+    rules += rng.sample(rules, rng.randint(0, len(rules)))  # repeated rules
+    # a query over another draw uses the same predicate names with other arities
+    q = random_query(rng, random_linear_rules(rng, rng.randint(1, 3)) + rules)
+    want = [r for r in rules if any((h.predicate, h.arity) in q.signature for h in r.head)]
+    assert [c.rule for c in RuleBase(rules).unifiable(q)] == want
