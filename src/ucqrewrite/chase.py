@@ -28,16 +28,19 @@ from .homomorphism import (
 
 
 class ChaseState:
-    """A chase instance: the rank of each of its atoms, and an index over them.
+    """A chase instance: the rank of each of its atoms, an index over them, and
+    one index per rank over the atoms of that rank.
 
     The facts get rank 0, with their variables frozen to labelled nulls.
-    Every later atom goes into ``rank`` and ``index`` together through ``add``.
+    Every later atom goes into ``rank``, ``index`` and its rank's index in
+    ``layers`` together through ``add``.
     """
 
     def __init__(self, facts: Iterable[Atom] = ()):
         self.null_count = 0
         self.rank: dict[Atom, int] = dict.fromkeys(_freeze_atoms(facts, self), 0)
         self.index = AtomIndex(self.rank)
+        self.layers: dict[int, AtomIndex] = {0: self.index.snapshot()}
 
     @property
     def atoms(self) -> KeysView[Atom]:
@@ -55,6 +58,7 @@ class ChaseState:
             return False
         self.rank[a] = rank
         self.index.add(a)
+        self.layers.setdefault(rank, AtomIndex()).add(a)
         return True
 
 
@@ -91,16 +95,24 @@ def _apply_round(state: ChaseState, rules: list[ExistentialRule], rank: int) -> 
     Triggers come from the instance at the round's start.  A trigger whose
     body image lies wholly in atoms older than the previous round was seen
     by that round and left satisfied, and stays so as the instance grows, so
-    it is skipped without a restricted check.
+    it is skipped without a restricted check.  So a one-atom body is matched
+    against the previous round's atoms only (semi-naive evaluation), which
+    this round does not add to; a longer body is matched against a snapshot
+    of the round's start, taken before any rule fires, and its old triggers
+    are skipped.
     """
     added = False
-    snapshot = state.index.snapshot()
+    delta = state.layers[rank - 1]
+    snapshot = state.index.snapshot() if any(len(r.body) != 1 for r in rules) else None
     for rule in rules:
         body = sorted_atoms(rule.body)
         existentials = sorted(rule.existentials)
-        for h in homomorphisms(body, snapshot):
-            if max((state.rank[apply_to_atom(h, a)] for a in body), default=0) < rank - 1:
-                continue
+        if len(body) == 1:
+            triggers = homomorphisms(body, delta)
+        else:
+            triggers = (h for h in homomorphisms(body, snapshot) if max(
+                (state.rank[apply_to_atom(h, a)] for a in body), default=0) >= rank - 1)
+        for h in triggers:
             trigger = sorted_atoms(apply_to_atom(h, a) for a in rule.head)
             # restricted check: skip if the head is already satisfied by an
             # extension of the trigger (existentials still variables there)

@@ -22,7 +22,9 @@ def apply_to_term(s: Substitution, t: Term) -> Term:
 
 
 def apply_to_atom(s: Substitution, a: Atom) -> Atom:
-    return Atom(a.predicate, tuple(s.get(t, t) for t in a.args))
+    """s(a); a itself when s leaves every argument as it is."""
+    args = tuple([s.get(t, t) for t in a.args])
+    return a if args == a.args else Atom(a.predicate, args)
 
 
 def apply_to_atoms(s: Substitution, atoms: Iterable[Atom]) -> frozenset[Atom]:
@@ -64,7 +66,8 @@ def homomorphisms(
     a variable it newly binds, and drops the candidate at once if one of them
     empties; moving on restores them.  The next atom to match is the unbound
     one with the smallest domain, the first in source order on a tie, and its
-    candidates are tried in domain order.  A plain iterable target is indexed
+    candidates are tried in domain order, so a lone source atom yields its
+    domain in order, without the search.  A plain iterable target is indexed
     once, here.
     """
     src = list(source)
@@ -85,6 +88,13 @@ def homomorphisms(
             return
         domains.append(d)
         slots.append(list(first.items()))
+    if len(src) == 1:  # every atom of the one domain is a match, in order
+        for t in domains[0]:
+            h = dict(b)
+            for s, k in slots[0]:
+                h[s] = t.args[k]
+            yield h
+        return
     occurs = None  # variable -> [(source atom, position)], built when first needed
     free = list(range(len(src)))
     # one frame per matched atom: [atom, iterator over its candidates, variables

@@ -143,14 +143,17 @@ class ConjunctiveQuery:
 
     answer_vars may contain constants after rewriting steps bind an answer
     position; variable entries must occur in the atom set.  The views index,
-    signature and sort_key are computed on first use and kept in the instance
-    __dict__, outside the fields, so equality and hashing never see them.
+    occurrences, signature and sort_key are computed on first use and kept in
+    the instance __dict__, outside the fields, so equality and hashing never
+    see them.
     """
 
     atoms: frozenset[Atom]
     answer_vars: tuple[Term, ...] = ()
 
     def __post_init__(self):
+        if not self.answer_vars:
+            return
         qvars = vars_of(self.atoms)
         for t in self.answer_vars:
             if t.is_variable and t not in qvars:
@@ -167,6 +170,16 @@ class ConjunctiveQuery:
     def index(self) -> AtomIndex:
         """The atoms (not the answer tuple) as an AtomIndex."""
         return AtomIndex(self.atoms)
+
+    @cached_property
+    def occurrences(self) -> dict[Term, frozenset[Atom]]:
+        """Each variable of the atoms -> the atoms it occurs in."""
+        out: dict[Term, set[Atom]] = {}
+        for a in self.atoms:
+            for t in a.args:
+                if t.is_variable:
+                    out.setdefault(t, set()).add(a)
+        return {t: frozenset(atoms) for t, atoms in out.items()}
 
     @cached_property
     def signature(self) -> frozenset[tuple[str, int]]:

@@ -129,9 +129,12 @@ def rewrite(
     Keeps a cover of everything generated so far, explored queries preferred,
     and explores only the queries that survived the cover step.  The rules
     are compiled once, into a RuleBase.  The cover sees the distinct raw
-    rewritings; each query it keeps is processed once, as it enters the result
-    set.  Answer variables are folded into an answer atom first, so every
-    rewriting keeps them.
+    rewritings that no earlier level gave it: a query leaves the result set
+    only for one that is >= it, so the result set still covers each raw
+    rewriting decided before, and the cover would drop it again.  Each query
+    the cover keeps is processed once, as it enters the result set.  Answer
+    variables are folded into an answer atom first, so every rewriting keeps
+    them.
     """
     rules = RuleBase(rules)
     limits = limits or Limits()
@@ -143,6 +146,9 @@ def rewrite(
     explored = 0
     depth = 0
     terminated = True
+    # the raw rewritings given to cover so far, as fields only: a query would
+    # keep its cached views alive
+    seen: set[tuple] = set()
 
     while qe:
         if limits.max_depth is not None and depth >= limits.max_depth:
@@ -154,7 +160,13 @@ def rewrite(
         generated += len(raw)
         explored += len(qe)
         # copies are fixed per rule, so equal raw rewritings coincide here
-        qc = cover(explored=qf, fresh=dict.fromkeys(raw))
+        fresh = []
+        for x in dict.fromkeys(raw):
+            key = x.atoms, x.answer_vars
+            if key not in seen:
+                seen.add(key)
+                fresh.append(x)
+        qc = cover(explored=qf, fresh=fresh)
         qe = {process(x) for x in qc - qf}
         qf = (qc & qf) | qe
         if qe:

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
-from typing import Iterable, Optional, Union
+from typing import AbstractSet, Iterable, Optional, Union
 
 from . import kb
 from .kb import (
@@ -19,7 +19,7 @@ from .kb import (
     terms_of,
     vars_of,
 )
-from .homomorphism import Substitution, apply_to_atoms
+from .homomorphism import Substitution
 from .partition import (
     TermPartition,
     associated_substitution,
@@ -60,11 +60,22 @@ class PieceUnifier:
         return f"PieceUnifier([{qp}], [{hp}], {self.partition})"
 
 
+def _separating(q: ConjunctiveQuery, part: frozenset[Atom]) -> set[Term]:
+    """Variables of part that also occur in an atom of q outside part."""
+    occurrences = q.occurrences
+    return {v for v in vars_of(part) if not occurrences.get(v, frozenset()) <= part}
+
+
 def separating_vars(q: ConjunctiveQuery, q_part: Iterable[Atom]) -> frozenset[Term]:
     q_part = frozenset(q_part)
     if not q_part <= q.atoms:
         raise ValueError("q_part must be a subset of the query")
-    return vars_of(q_part) & vars_of(q.atoms - q_part)
+    return frozenset(_separating(q, q_part))
+
+
+def _images(u: Substitution, atoms: Iterable[Atom]) -> set[tuple]:
+    """u applied to each atom, as (predicate, argument tuple) pairs."""
+    return {(a.predicate, tuple([u.get(t, t) for t in a.args])) for a in atoms}
 
 
 def validate_piece_unifier(q: ConjunctiveQuery, mu: PieceUnifier) -> list[str]:
@@ -79,20 +90,21 @@ def validate_piece_unifier(q: ConjunctiveQuery, mu: PieceUnifier) -> list[str]:
     if not is_admissible(mu.partition):
         problems.append("partition not admissible")
         return problems
-    sep = vars_of(mu.q_part) & vars_of(q.atoms - mu.q_part)
-    nonsep = vars_of(mu.q_part) - sep
+    nonsep = None  # built for the first class with an existential variable
     for cls in mu.partition.classes():
         existentials = cls & mu.rule.existentials
-        if len(existentials) > 1 or (
-            existentials and not all(t in nonsep for t in cls - existentials)
-        ):
+        if not existentials:
+            continue
+        if nonsep is None:
+            nonsep = vars_of(mu.q_part) - _separating(q, mu.q_part)
+        if len(existentials) > 1 or not all(t in nonsep for t in cls - existentials):
             problems.append(
                 "class with an existential variable contains a term other than "
                 "a non-separating query variable"
             )
             break
     u = mu.substitution()
-    if apply_to_atoms(u, mu.h_part) != apply_to_atoms(u, mu.q_part):
+    if _images(u, mu.h_part) != _images(u, mu.q_part):
         problems.append("u(h_part) != u(q_part)")
     return problems
 
@@ -145,7 +157,7 @@ def _unifiable(pp: TermPartition, rule: ExistentialRule) -> bool:
     return True
 
 
-def _sticky(pp: TermPartition, sep: frozenset[Term], rule: ExistentialRule) -> frozenset[Term]:
+def _sticky(pp: TermPartition, sep: AbstractSet[Term], rule: ExistentialRule) -> frozenset[Term]:
     sticky = set()
     for cls in pp.classes():
         if cls & rule.existentials:
@@ -254,12 +266,14 @@ def single_piece_unifiers(
             pp = copy.partition(part)
             if pp is None:
                 break
-            sticky = _sticky(pp, separating_vars(q, part), rule)
+            # only a class with an existential variable has sticky variables
+            sticky = _sticky(pp, _separating(q, part), rule) if rule.existentials else ()
             if not sticky:
                 out.append(PieceUnifier(part, rule.head, pp, rule))
                 pool -= piece
                 break
-            piece |= {a for a in q.atoms if a.variables() & sticky}
+            for v in sticky:
+                piece |= q.occurrences[v]
         pool.discard(seed)  # already gone if its piece was accepted
     return out
 

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ucqrewrite
 from ucqrewrite import (
@@ -287,8 +287,20 @@ def chase_case(draw):
     return rules, facts
 
 
+# a snapshot taken when the first two-atom body is matched, not at the round's
+# start, would let the r-atom the first rule adds feed the last rule's trigger
+SNAPSHOT_AT_ROUND_START = (
+    [rule("r0", [atom("p", x, x)], [atom("r", E, x)]),
+     rule("r1", [atom("q", x)], [atom("p", x, E)]),
+     rule("r2", [atom("p", x, x)], [atom("p", x, E)]),
+     rule("r3", [atom("q", a), atom("r", x, y)], [atom("p", x, E)])],
+    {atom("p", a, a), atom("q", a)},
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(chase_case(), st.integers(0, 4))
+@example(SNAPSHOT_AT_ROUND_START, 1)
 def test_indexed_chase_matches_the_naive_chase(case, max_rank):
     rules, facts = case
     state = chase(facts, rules, max_rank)

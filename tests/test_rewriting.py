@@ -1,5 +1,7 @@
 """One-step rewriting, the breadth-first loop, guards, and saturation."""
+import json
 import random
+from importlib import resources
 
 import pytest
 
@@ -17,12 +19,14 @@ from ucqrewrite import (
     more_general,
     parse_document,
     rewrite,
+    rewriting,
     rule,
     saturate,
     var,
 )
 from ucqrewrite.dlgp import printed_cover
 from ucqrewrite.kb import ANS_PREDICATE, FreshCounter, attach_answer_atom, freshen_rule
+from ucqrewrite.homomorphism import cover
 from ucqrewrite.rewriting import OPERATOR_KINDS, InvariantViolation, beta
 from conftest import DATA, random_linear_rules, random_query
 
@@ -282,3 +286,30 @@ def test_a_raw_rewriting_is_rewritten_like_its_canonical_form(kind):
     (raw,) = op(cq(atom("q", u, v)), [r])
     assert {canonicalize(q) for q in op(raw, [r])} == \
         {canonicalize(q) for q in op(canonicalize(raw), [r])} == {canonicalize(cq(atom("q", u, v)))}
+
+
+@pytest.mark.parametrize("kind", ("single-piece", "aggregated"))
+def test_no_raw_rewriting_reaches_the_cover_twice(kind, monkeypatch):
+    # a raw rewriting an earlier level gave to cover is still covered by the
+    # result set, so the loop drops it before cover; the counts must not move
+    data = resources.files("ucqrewrite") / "data"
+    rules = parse_document((data / "ontology.dlgp").read_text()).rules
+    queries = parse_document((data / "queries.dlgp").read_text()).queries
+    baselines = json.loads((data / "baselines.json").read_text())
+    given = []
+
+    def recording_cover(explored, fresh):
+        fresh = list(fresh)
+        if explored:  # the loop's calls; the invariant check passes no explored query
+            given.extend(fresh)
+        return cover(explored, fresh)
+
+    monkeypatch.setattr(rewriting, "cover", recording_cover)
+    for q, base in zip(queries, baselines):
+        given.clear()
+        res = rewrite(attach_answer_atom(q), rules, make_operator(kind), Limits(),
+                      debug_invariants=True)
+        assert len(given) == len(set(given)), base["query"]
+        got = {"generated": res.generated_count, "output": len(res.cover),
+               "depth": res.depth_reached}
+        assert res.terminated and got == base[kind], base["query"]

@@ -25,7 +25,8 @@ from ucqrewrite import (
     validate_piece_unifier,
     var,
 )
-from ucqrewrite.kb import FreshCounter, freshen_rule
+from ucqrewrite.kb import Atom, FreshCounter, freshen_rule, sorted_atoms, terms_of, vars_of
+from ucqrewrite.partition import associated_substitution, is_admissible
 from ucqrewrite.unification import RuleBase
 from conftest import random_linear_rules, random_query
 
@@ -145,6 +146,73 @@ def test_validate_rejects_inadmissible_and_mismatch():
     )
     # b lands in y's class but y is existential: constant forbidden there
     assert validate_piece_unifier(q, mu)
+
+
+def reference_problems(q, mu):
+    """The validity conditions as plain set algebra over whole atom sets."""
+    problems = []
+    if not mu.q_part or not mu.q_part <= q.atoms:
+        problems.append("q_part must be a non-empty subset of the query")
+    if not mu.h_part <= mu.rule.head:
+        problems.append("h_part must be a subset of the rule head")
+    if set(mu.partition.carrier) != terms_of(mu.q_part) | terms_of(mu.h_part):
+        problems.append("partition carrier must be terms(q_part) + terms(h_part)")
+    if not is_admissible(mu.partition):
+        problems.append("partition not admissible")
+        return problems
+    sep = vars_of(mu.q_part) & vars_of(q.atoms - mu.q_part)
+    nonsep = vars_of(mu.q_part) - sep
+    for cls in mu.partition.classes():
+        existentials = cls & mu.rule.existentials
+        if len(existentials) > 1 or (existentials and not cls - existentials <= nonsep):
+            problems.append("class with an existential variable contains a term other than "
+                            "a non-separating query variable")
+            break
+    s = associated_substitution(mu.partition)
+
+    def image(atoms):
+        return {Atom(at.predicate, tuple(s.get(t, t) for t in at.args)) for at in atoms}
+
+    if image(mu.h_part) != image(mu.q_part):
+        problems.append("u(h_part) != u(q_part)")
+    return problems
+
+
+VALIDITY_HEAD = [atom("p", x, y), atom("p", y, z), atom("r", y), atom("p", x, x), atom("r", a)]
+
+
+@st.composite
+def unifier_case(draw):
+    """A query, and a unifier over a part that may reach outside the query, a
+    head part that may reach outside the head, and a partition that pairs the
+    parts positionwise or at random."""
+    terms = [u, v, w, a, b]
+    pool = [atom("p", s, o) for s in terms for o in terms] + [atom("r", s) for s in terms]
+    q = cq(*draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)))
+    r = rule("r", [atom("q", x)], draw(st.lists(st.sampled_from(VALIDITY_HEAD), min_size=1)))
+    q_part = draw(st.sets(st.sampled_from(sorted_atoms(q.atoms)), max_size=3))
+    h_part = draw(st.sets(st.sampled_from(sorted_atoms(r.head)), min_size=1, max_size=3))
+    if draw(st.integers(0, 3)) == 0:
+        q_part.add(draw(st.sampled_from(pool)))
+    if draw(st.integers(0, 3)) == 0:
+        h_part.add(draw(st.sampled_from(VALIDITY_HEAD)))
+    q_part, h_part = sorted_atoms(q_part), sorted_atoms(h_part)
+    groups = [[t] for at in q_part + h_part for t in at.args]
+    if draw(st.integers(0, 3)):  # positionwise pairs, as the operators build them
+        for qa in q_part:
+            same = [ha for ha in h_part if (ha.predicate, ha.arity) == (qa.predicate, qa.arity)]
+            if same:
+                groups += [list(pair) for pair in zip(qa.args, draw(st.sampled_from(same)).args)]
+    else:
+        groups += draw(st.lists(st.lists(st.sampled_from(terms + [x, y, z]), max_size=3)))
+    return q, PieceUnifier(frozenset(q_part), frozenset(h_part), TermPartition(groups), r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unifier_case())
+def test_validity_check_returns_the_problems_of_the_plain_set_check(case):
+    q, mu = case
+    assert validate_piece_unifier(q, mu) == reference_problems(q, mu)
 
 
 def test_unifiable_rejects_existential_frontier_merge():
