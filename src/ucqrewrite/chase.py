@@ -13,7 +13,6 @@ from .kb import (
     NULL_PREFIX,
     Term,
     const,
-    sorted_atoms,
     strip_answer_atom,
     vars_of,
 )
@@ -77,7 +76,7 @@ def _freeze_atoms(atoms: Iterable[Atom], state: ChaseState) -> set[Atom]:
     """Existential variables of a fact become labelled nulls (frozen constants)."""
     mapping: dict[Term, Term] = {}
     out = set()
-    for a in sorted_atoms(atoms):
+    for a in sorted(atoms):
         args = []
         for t in a.args:
             if t.is_variable:
@@ -105,7 +104,7 @@ def _apply_round(state: ChaseState, rules: list[ExistentialRule], rank: int) -> 
     delta = state.layers[rank - 1]
     snapshot = state.index.snapshot() if any(len(r.body) != 1 for r in rules) else None
     for rule in rules:
-        body = sorted_atoms(rule.body)
+        body = sorted(rule.body)
         existentials = sorted(rule.existentials)
         if len(body) == 1:
             triggers = homomorphisms(body, delta)
@@ -113,7 +112,7 @@ def _apply_round(state: ChaseState, rules: list[ExistentialRule], rank: int) -> 
             triggers = (h for h in homomorphisms(body, snapshot) if max(
                 (state.rank[apply_to_atom(h, a)] for a in body), default=0) >= rank - 1)
         for h in triggers:
-            trigger = sorted_atoms(apply_to_atom(h, a) for a in rule.head)
+            trigger = sorted(apply_to_atom(h, a) for a in rule.head)
             # restricted check: skip if the head is already satisfied by an
             # extension of the trigger (existentials still variables there)
             if find_homomorphism(trigger, state.index) is not None:
@@ -149,7 +148,7 @@ def entails(
     before the chase reaches a fixpoint."""
     state = ChaseState(facts)
     rules = list(rules)
-    query = sorted_atoms(q.atoms)
+    query = sorted(q.atoms)
     for r in range(max_rank + 1):
         h = find_homomorphism(query, state.index)
         if h is not None:
@@ -251,8 +250,7 @@ def verify_rewriting_set(
                 index = AtomIndex(f)
                 if not any(find_homomorphism(qi.atoms, index) is not None for qi in ucq):
                     report["complete_sampled"] = False
-                    report["counterexamples"].append(
-                        sorted(str(a) for a in sorted_atoms(f)))
+                    report["counterexamples"].append(sorted(str(a) for a in f))
     else:
         report["complete_sampled"] = None  # guard fired; skipped
 

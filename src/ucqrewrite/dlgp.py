@@ -29,7 +29,6 @@ from .kb import (
     canonicalize,
     check_arities,
     const,
-    sorted_atoms,
     strip_answer_atom,
     var,
     vars_of,
@@ -249,20 +248,20 @@ def query_to_dlgp(q: ConjunctiveQuery) -> str:
     head = ""
     if q.answer_vars:
         head = "(" + ",".join(term_text(t) for t in q.answer_vars) + ")"
-    body = ", ".join(_atom_text(a, term_text) for a in sorted_atoms(q.atoms))
+    body = ", ".join(_atom_text(a, term_text) for a in sorted(q.atoms))
     return f"?{head} :- {body}."
 
 
 def _rule_text(r: ExistentialRule) -> str:
-    body = ", ".join(_atom_text(a) for a in sorted_atoms(r.body))
-    head = ", ".join(_atom_text(a) for a in sorted_atoms(r.head))
+    body = ", ".join(_atom_text(a) for a in sorted(r.body))
+    head = ", ".join(_atom_text(a) for a in sorted(r.head))
     return f"[{r.label}] {head} :- {body}."
 
 
 def document_to_dlgp(doc: Document) -> str:
     lines = [_rule_text(r) for r in doc.rules]
     for f in doc.facts:
-        lines.append(", ".join(_atom_text(a) for a in sorted_atoms(f)) + ".")
+        lines.append(", ".join(_atom_text(a) for a in sorted(f)) + ".")
     for q in doc.queries:
         lines.append(query_to_dlgp(q))
     return "\n".join(lines) + "\n"

@@ -10,7 +10,6 @@ from .kb import (
     Term,
     attach_answer_atom,
     canonicalize,
-    sorted_atoms,
 )
 
 # A substitution maps variables to terms; constants are implicitly fixed.
@@ -61,7 +60,7 @@ def homomorphisms(
 
     Forward checking (Haralick and Elliott, AIJ 1980) over an explicit stack.
     Each source atom has one domain: the target atoms of its bucket, in
-    Atom.sort_key order, that it still maps onto under the current binding.
+    sorted order, that it still maps onto under the current binding.
     Binding a candidate narrows only the domains of unbound atoms that share
     a variable it newly binds, and drops the candidate at once if one of them
     empties; moving on restores them.  The next atom to match is the unbound
@@ -79,7 +78,7 @@ def homomorphisms(
         d = buckets.get((a.predicate, a.arity), ())
         first = {}
         for k, s in enumerate(a.args):
-            val = s if s.is_constant else b.get(s)
+            val = b.get(s) if s.is_variable else s
             if val is not None:
                 d = [u for u in d if u.args[k] == val]
             elif (k0 := first.setdefault(s, k)) != k:
@@ -176,7 +175,7 @@ def core(q: ConjunctiveQuery) -> ConjunctiveQuery:
     """
     atoms, index = q.atoms, q.index
     fixed = {v: v for v in q.answer_vars if v.is_variable}
-    for a in sorted_atoms(q.atoms):
+    for a in sorted(q.atoms):
         if a not in atoms or len(index.buckets[(a.predicate, a.arity)]) == 1:
             continue
         h = find_homomorphism(atoms, index.without(a), fixed)

@@ -10,6 +10,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 VARIABLE = "variable"
@@ -21,37 +22,44 @@ NULL_PREFIX = "__n"
 RESERVED_PREFIX = "__"
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
-    """A variable or constant.  Machine-generated terms carry a fresh_index."""
+_RANKS = {CONSTANT: False, VARIABLE: True}
 
-    kind: str
-    name: str
-    fresh_index: Optional[int] = None
-    _key: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
-    @property
-    def is_variable(self) -> bool:
-        return self.kind == VARIABLE
+class Term(tuple):
+    """A variable or constant.  Machine-generated terms carry a fresh_index.
 
-    @property
-    def is_constant(self) -> bool:
-        return self.kind == CONSTANT
+    The tuple (rank, name, index) is the sort key, so hash, equality and order
+    are the tuple's: rank is False (0) for a constant and True (1) for a
+    variable, and index is fresh_index, or -1 for an unindexed term.  The hash
+    holds only strings and ints, so a fixed hash seed fixes it.
+    """
 
-    def sort_key(self):
-        if self._key is None:  # computed once, on first use
-            # constants first, then by (name, fresh_index), unindexed terms first
-            index = -1 if self.fresh_index is None else self.fresh_index
-            object.__setattr__(self, "_key", (0 if self.kind == CONSTANT else 1, self.name, index))
-        return self._key
+    __slots__ = ()
 
-    def __lt__(self, other: "Term") -> bool:
-        return self.sort_key() < other.sort_key()
+    def __new__(cls, kind: str, name: str, fresh_index: Optional[int] = None):
+        if fresh_index is None:
+            fresh_index = -1
+        elif fresh_index < 0:  # -1 stands for "unindexed"
+            raise ValueError(f"negative fresh_index {fresh_index}")
+        return tuple.__new__(cls, (_RANKS[kind], name, fresh_index))
+
+    def __getnewargs__(self):  # what copy and pickle pass back to __new__
+        return self.kind, self.name, self.fresh_index
+
+    is_variable = property(itemgetter(0))
+    is_constant = property(lambda self: not self[0])
+    kind = property(lambda self: VARIABLE if self[0] else CONSTANT)
+    name = property(itemgetter(1))
+    fresh_index = property(lambda self: None if self[2] < 0 else self[2])
+
+    def sort_key(self) -> "Term":
+        return self
+
+    def __repr__(self) -> str:
+        return f"Term{self.__getnewargs__()!r}"
 
     def __str__(self) -> str:
-        if self.fresh_index is None:
-            return self.name
-        return f"{self.name}{self.fresh_index}"
+        return self[1] if self[2] < 0 else f"{self[1]}{self[2]}"
 
 
 def var(name: str, fresh_index: Optional[int] = None) -> Term:
@@ -62,30 +70,36 @@ def const(name: str, fresh_index: Optional[int] = None) -> Term:
     return Term(CONSTANT, name, fresh_index)
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    predicate: str
-    args: tuple[Term, ...]
-    _key: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+class Atom(tuple):
+    """predicate(args) as the tuple (predicate, arity, args), its sort key:
+    hash, equality and order are the tuple's."""
 
-    @property
-    def arity(self) -> int:
-        return len(self.args)
+    __slots__ = ()
+
+    def __new__(cls, predicate: str, args: tuple[Term, ...]):
+        return tuple.__new__(cls, (predicate, len(args), args))
+
+    def __getnewargs__(self):
+        return self[0], self[2]
+
+    predicate = property(itemgetter(0))
+    arity = property(itemgetter(1))
+    args = property(itemgetter(2))
 
     def variables(self) -> frozenset[Term]:
-        return frozenset(t for t in self.args if t.is_variable)
+        return frozenset(t for t in self[2] if t.is_variable)
 
     def constants(self) -> frozenset[Term]:
-        return frozenset(t for t in self.args if t.is_constant)
+        return frozenset(t for t in self[2] if t.is_constant)
 
-    def sort_key(self):
-        if self._key is None:  # computed once, on first use
-            object.__setattr__(self, "_key", (
-                self.predicate, len(self.args), tuple([t.sort_key() for t in self.args])))
-        return self._key
+    def sort_key(self) -> "Atom":
+        return self
+
+    def __repr__(self) -> str:
+        return f"Atom{self.__getnewargs__()!r}"
 
     def __str__(self) -> str:
-        return f"{self.predicate}({','.join(str(t) for t in self.args)})"
+        return f"{self[0]}({','.join(str(t) for t in self[2])})"
 
 
 def atom(predicate: str, *args: Term) -> Atom:
@@ -100,12 +114,8 @@ def terms_of(atoms: Iterable[Atom]) -> frozenset[Term]:
     return frozenset(t for a in atoms for t in a.args)
 
 
-def sorted_atoms(atoms: Iterable[Atom]) -> list[Atom]:
-    return sorted(atoms, key=Atom.sort_key)
-
-
 class AtomIndex:
-    """Distinct atoms grouped by (predicate, arity), each bucket in Atom.sort_key order.
+    """Distinct atoms grouped by (predicate, arity), each bucket in sorted order.
 
     The one place atoms are grouped by (predicate, arity): homomorphism
     targets, a query's views and the chase instance all read these buckets.
@@ -116,11 +126,11 @@ class AtomIndex:
         for a in set(atoms):
             self.buckets.setdefault((a.predicate, a.arity), []).append(a)
         for bucket in self.buckets.values():
-            bucket.sort(key=Atom.sort_key)
+            bucket.sort()
 
     def add(self, a: Atom) -> None:
         """Insert a, which must not be in the index yet, in order."""
-        insort(self.buckets.setdefault((a.predicate, a.arity), []), a, key=Atom.sort_key)
+        insort(self.buckets.setdefault((a.predicate, a.arity), []), a)
 
     def snapshot(self) -> "AtomIndex":
         """A copy that later adds to this index do not change."""
@@ -194,17 +204,17 @@ class ConjunctiveQuery:
 
     @cached_property
     def _sort_key(self) -> tuple:
-        # Atom.sort_key starts with (predicate, arity): the buckets in key order
-        # hold the atoms in sort order
+        # an atom starts with (predicate, arity): the buckets in key order hold
+        # the atoms in sorted order
         buckets = self.index.buckets
-        return tuple(a.sort_key() for k in sorted(buckets) for a in buckets[k])
+        return tuple(a for k in sorted(buckets) for a in buckets[k])
 
     def sort_key(self) -> tuple:
-        """The atoms' sort keys in Atom.sort_key order."""
+        """The atoms in sorted order."""
         return self._sort_key
 
     def __str__(self) -> str:
-        body = " & ".join(str(a) for a in sorted_atoms(self.atoms))
+        body = " & ".join(str(a) for a in sorted(self.atoms))
         if self.answer_vars:
             head = ",".join(str(t) for t in self.answer_vars)
             return f"?({head}) :- {body}"
@@ -243,8 +253,8 @@ class ExistentialRule:
         return vars_of(self.body) | vars_of(self.head)
 
     def __str__(self) -> str:
-        b = " & ".join(str(a) for a in sorted_atoms(self.body))
-        h = " & ".join(str(a) for a in sorted_atoms(self.head))
+        b = " & ".join(str(a) for a in sorted(self.body))
+        h = " & ".join(str(a) for a in sorted(self.head))
         return f"[{self.label}] {b} -> {h}"
 
 
@@ -320,7 +330,7 @@ def decompose_atomic_head(r: ExistentialRule, counter: FreshCounter) -> list[Exi
     head_vars = tuple(sorted(vars_of(r.head)))
     aux = Atom(aux_name, head_vars)
     out = [ExistentialRule(f"{r.label}_aux", r.body, frozenset({aux}))]
-    for i, h in enumerate(sorted_atoms(r.head)):
+    for i, h in enumerate(sorted(r.head)):
         out.append(ExistentialRule(f"{r.label}_h{i}", frozenset({aux}), frozenset({h})))
     return out
 
@@ -382,8 +392,8 @@ def canonicalize(q: ConjunctiveQuery) -> ConjunctiveQuery:
     """
     vs = sorted(q.variables())
     n, index = len(vs), {v: i for i, v in enumerate(vs)}
-    # the atoms, then the answer tuple; variables as indices, constants as keys
-    rows = [(p, tuple([index[t] if t in index else t.sort_key() for t in args])) for p, args
+    # the atoms, then the answer tuple; variables as indices, constants as themselves
+    rows = [(p, tuple([index.get(t, t) for t in args])) for p, args
             in [(a.predicate, a.args) for a in q.atoms] + [(ANS_PREDICATE, q.answer_vars)]]
     row_set, occ = set(rows[:-1]), [[] for _ in vs]
     for r, (_, args) in enumerate(rows):

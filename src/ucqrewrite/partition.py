@@ -33,8 +33,7 @@ class TermPartition:
         by_root: dict[Term, set[Term]] = {}
         for t in parent:
             by_root.setdefault(find(t), set()).add(t)
-        self._classes = tuple(sorted((frozenset(c) for c in by_root.values()),
-                                     key=lambda c: min(c).sort_key()))
+        self._classes = tuple(sorted((frozenset(c) for c in by_root.values()), key=min))
         self._class_of = {t: c for c in self._classes for t in c}
 
     @property

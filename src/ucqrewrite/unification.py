@@ -15,7 +15,6 @@ from .kb import (
     ExistentialRule,
     FreshCounter,
     Term,
-    sorted_atoms,
     terms_of,
     vars_of,
 )
@@ -55,8 +54,8 @@ class PieceUnifier:
         return frozenset(out)
 
     def __repr__(self) -> str:
-        qp = ",".join(str(a) for a in sorted_atoms(self.q_part))
-        hp = ",".join(str(a) for a in sorted_atoms(self.h_part))
+        qp = ",".join(str(a) for a in sorted(self.q_part))
+        hp = ",".join(str(a) for a in sorted(self.h_part))
         return f"PieceUnifier([{qp}], [{hp}], {self.partition})"
 
 
@@ -111,7 +110,7 @@ def validate_piece_unifier(q: ConjunctiveQuery, mu: PieceUnifier) -> list[str]:
 
 def pieces(atoms: Iterable[Atom], cutpoint_set: Iterable[Term]) -> list[frozenset[Atom]]:
     """Connected components of atoms glued by variables outside cutpoint_set."""
-    atoms = sorted_atoms(atoms)
+    atoms = sorted(atoms)
     cut = frozenset(cutpoint_set)
     glue = [a.variables() - cut for a in atoms]
     n = len(atoms)
@@ -131,8 +130,7 @@ def pieces(atoms: Iterable[Atom], cutpoint_set: Iterable[Term]) -> list[frozense
     by_root: dict[int, set[Atom]] = {}
     for i, a in enumerate(atoms):
         by_root.setdefault(root(i), set()).add(a)
-    return sorted((frozenset(c) for c in by_root.values()),
-                  key=lambda c: min(a.sort_key() for a in c))
+    return sorted((frozenset(c) for c in by_root.values()), key=min)
 
 
 def partition_by_position(atoms: Iterable[Atom]) -> TermPartition:
@@ -192,7 +190,7 @@ class RuleCopy:
         try:
             return self._partitions[piece]
         except KeyError:
-            pp = partition_by_position(sorted_atoms(piece) + [self.rule.head_atom])
+            pp = partition_by_position(sorted(piece) + [self.rule.head_atom])
             self._partitions[piece] = pp = pp if _unifiable(pp, self.rule) else None
             return pp
 
@@ -259,7 +257,7 @@ def single_piece_unifiers(
     pool = set(q.index.buckets.get((head.predicate, head.arity), ()))
     out = []
     while pool:
-        seed = min(pool, key=Atom.sort_key)
+        seed = min(pool)
         piece = {seed}
         while piece <= pool:
             part = frozenset(piece)
@@ -346,7 +344,7 @@ def enumerate_aggregated(
         {m.q_part: m for m in single_piece_unifiers(q, compiled.copy(k))}
         for k in range(1, len(base))]
 
-    parts = sorted((m.q_part for m in base), key=lambda p: min(a.sort_key() for a in p))
+    parts = sorted((m.q_part for m in base), key=min)
 
     out: list[AggregatedUnifier] = []
 
@@ -408,9 +406,9 @@ def general_piece_unifiers(
         raise ValueError("input beyond oracle size caps")
 
     out: list[PieceUnifier] = []
-    head_atoms = sorted_atoms(rule.head)
+    head_atoms = sorted(rule.head)
     head_preds = {a.predicate for a in head_atoms}
-    cands = [a for a in sorted_atoms(q.atoms) if a.predicate in head_preds]
+    cands = [a for a in sorted(q.atoms) if a.predicate in head_preds]
     for qmask in range(1, 1 << len(cands)):
         q_sel = [a for i, a in enumerate(cands) if qmask >> i & 1]
         q_part = frozenset(q_sel)

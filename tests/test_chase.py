@@ -27,7 +27,7 @@ from ucqrewrite import (
 )
 from ucqrewrite.chase import random_ground_atoms
 from ucqrewrite.homomorphism import apply_to_atom
-from ucqrewrite.kb import NULL_PREFIX, Atom, ConjunctiveQuery, sorted_atoms, vars_of
+from ucqrewrite.kb import NULL_PREFIX, Atom, ConjunctiveQuery, vars_of
 
 from conftest import reference_homomorphisms
 
@@ -199,6 +199,28 @@ def test_null_numbering_does_not_follow_the_hash_seed():
     assert "__n5" in printed[0]
 
 
+SEED_PROBE = """
+from ucqrewrite import atom, chase, const, rule, var
+X, Y, E = var("X"), var("Y"), var("E")
+rules = [rule("up", [atom("p", X, Y)], [atom("s", Y, E)]),
+         rule("back", [atom("s", X, Y)], [atom("p", Y, X)])]
+facts = [atom("p", const(f"a{i}"), const(f"b{i % 3}")) for i in range(12)]
+print(hash(X), hash(atom("p", X, const("a"))))
+print([f"{at}@{r}" for at, r in chase(facts, rules, 3).rank.items()])
+"""
+
+
+def test_a_fixed_hash_seed_fixes_hashes_and_chase_order():
+    # Unsorted on purpose: the facts enter the chase through a set, so the
+    # instance's insertion order follows the atoms' hashes.
+    src = str(Path(ucqrewrite.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=src)
+    printed = [subprocess.run([sys.executable, "-c", SEED_PROBE], env=env, capture_output=True,
+                              text=True, check=True).stdout for _ in range(2)]
+    assert printed[0] == printed[1]
+    assert "__n" in printed[0]
+
+
 def reference_find(source, target):
     return next(reference_homomorphisms(source, target), None)
 
@@ -211,8 +233,8 @@ def naive_round(atoms, rank_of, rules, rank, nulls):
     added = False
     snapshot = frozenset(atoms)
     for r in rules:
-        for h in reference_homomorphisms(sorted_atoms(r.body), snapshot):
-            trigger = sorted_atoms(apply_to_atom(h, at) for at in r.head)
+        for h in reference_homomorphisms(sorted(r.body), snapshot):
+            trigger = sorted(apply_to_atom(h, at) for at in r.head)
             if reference_find(trigger, atoms) is not None:
                 continue
             ex_map = {}

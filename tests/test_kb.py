@@ -1,4 +1,6 @@
 """Terms, atoms, queries, rules, freshening and canonical forms."""
+import copy
+import pickle
 import random
 import time
 from itertools import permutations
@@ -11,6 +13,7 @@ from ucqrewrite import (
     ConjunctiveQuery,
     FreshCounter,
     KnowledgeBase,
+    Term,
     atom,
     attach_answer_atom,
     canonicalize,
@@ -22,7 +25,7 @@ from ucqrewrite import (
     strip_answer_atom,
     var,
 )
-from ucqrewrite.kb import ANS_PREDICATE, check_arities, vars_of
+from ucqrewrite.kb import ANS_PREDICATE, CONSTANT, VARIABLE, check_arities, vars_of
 from conftest import random_linear_rules, random_query
 
 x, y, z = var("x"), var("y"), var("z")
@@ -39,6 +42,79 @@ def test_term_order_constants_first():
 def test_term_str():
     assert str(var("x")) == "x"
     assert str(var("x", 3)) == "x3"
+
+
+def test_negative_fresh_index_and_unknown_kind_are_rejected():
+    # index -1 stands for "unindexed": var("x", -1) must not pass for var("x")
+    for bad in (lambda: var("x", -1), lambda: const("a", -2)):
+        with pytest.raises(ValueError):
+            bad()
+    with pytest.raises(KeyError):
+        Term("null", "x")
+    assert var("x", 0).fresh_index == 0 and var("x").fresh_index is None
+
+
+def _kinds(obj):
+    """The (kind, name, fresh_index) of every term in obj, in a fixed order."""
+    if isinstance(obj, Term):
+        return [(obj.kind, obj.name, obj.fresh_index)]
+    if isinstance(obj, Atom):
+        return [k for t in obj.args for k in _kinds(t)]
+    if isinstance(obj, ConjunctiveQuery):
+        return [k for part in (*sorted(obj.atoms), *obj.answer_vars) for k in _kinds(part)]
+    return [k for part in (*sorted(obj.body), *sorted(obj.head)) for k in _kinds(part)]
+
+
+def test_copy_and_pickle_keep_every_term_kind():
+    terms = [const("a"), var("a"), var("x", 3), const("__n", 0), var("__X", 7)]
+    objects = terms + [
+        atom("p", const("a"), var("a"), var("x", 3)),
+        atom("r"),
+        ConjunctiveQuery(frozenset({atom("p", x, a), atom("q", x, var("x", 2))}), (x, b)),
+        rule("r", [atom("q", x, a)], [atom("p", x, y, var("y", 1))]),
+    ]
+    round_trips = [copy.copy, copy.deepcopy] + [
+        lambda o, k=k: pickle.loads(pickle.dumps(o, protocol=k))
+        for k in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for obj in objects:
+        for trip in round_trips:
+            back = trip(obj)
+            assert back == obj and type(back) is type(obj)
+            assert _kinds(back) == _kinds(obj)
+
+
+def old_term_key(t):
+    return (0 if t.kind == CONSTANT else 1, t.name, -1 if t.fresh_index is None else t.fresh_index)
+
+
+def old_atom_key(at):
+    return (at.predicate, at.arity, tuple(old_term_key(t) for t in at.args))
+
+
+order_terms = st.builds(
+    Term, st.sampled_from([VARIABLE, CONSTANT]),
+    st.sampled_from(["a", "X", "v", "x1", "__", "__n", "__n1", "__X", "__aux_r"]),
+    st.one_of(st.none(), st.integers(0, 12)))
+order_atoms = st.builds(
+    lambda p, ts: atom(p, *ts),
+    st.sampled_from(["p", "q", "p1", ANS_PREDICATE, "__aux_r", "__"]),
+    st.lists(order_terms, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(order_terms, max_size=8), st.lists(order_atoms, max_size=8))
+def test_tuple_order_and_equality_are_the_documented_sort_keys(ts, ats):
+    assert sorted(ts) == sorted(ts, key=old_term_key)
+    assert sorted(ats) == sorted(ats, key=old_atom_key)
+    for objs, key in ((ts, old_term_key), (ats, old_atom_key)):
+        for o1 in objs:
+            assert o1.sort_key() is o1
+            for o2 in objs:
+                assert (o1 == o2) == (key(o1) == key(o2))
+                assert o1 != o2 or hash(o1) == hash(o2)
+    for t in ts:
+        assert var(t.name, t.fresh_index) != const(t.name, t.fresh_index)
+        assert all(t != at and at != t for at in ats)
 
 
 def test_atom_accessors():

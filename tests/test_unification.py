@@ -25,7 +25,7 @@ from ucqrewrite import (
     validate_piece_unifier,
     var,
 )
-from ucqrewrite.kb import Atom, FreshCounter, freshen_rule, sorted_atoms, terms_of, vars_of
+from ucqrewrite.kb import Atom, FreshCounter, freshen_rule, terms_of, vars_of
 from ucqrewrite.partition import associated_substitution, is_admissible
 from ucqrewrite.unification import RuleBase
 from conftest import random_linear_rules, random_query
@@ -190,13 +190,13 @@ def unifier_case(draw):
     pool = [atom("p", s, o) for s in terms for o in terms] + [atom("r", s) for s in terms]
     q = cq(*draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)))
     r = rule("r", [atom("q", x)], draw(st.lists(st.sampled_from(VALIDITY_HEAD), min_size=1)))
-    q_part = draw(st.sets(st.sampled_from(sorted_atoms(q.atoms)), max_size=3))
-    h_part = draw(st.sets(st.sampled_from(sorted_atoms(r.head)), min_size=1, max_size=3))
+    q_part = draw(st.sets(st.sampled_from(sorted(q.atoms)), max_size=3))
+    h_part = draw(st.sets(st.sampled_from(sorted(r.head)), min_size=1, max_size=3))
     if draw(st.integers(0, 3)) == 0:
         q_part.add(draw(st.sampled_from(pool)))
     if draw(st.integers(0, 3)) == 0:
         h_part.add(draw(st.sampled_from(VALIDITY_HEAD)))
-    q_part, h_part = sorted_atoms(q_part), sorted_atoms(h_part)
+    q_part, h_part = sorted(q_part), sorted(h_part)
     groups = [[t] for at in q_part + h_part for t in at.args]
     if draw(st.integers(0, 3)):  # positionwise pairs, as the operators build them
         for qa in q_part:
