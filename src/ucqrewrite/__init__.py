@@ -45,8 +45,6 @@ from .unification import (
     pieces,
     separating_vars,
     single_piece_unifiers,
-    sticky_variables,
-    unifiable,
     validate_piece_unifier,
 )
 from .rewriting import (

@@ -18,14 +18,15 @@ from .rewriting import Limits, OPERATOR_KINDS, make_operator, rewrite
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    defaults = Limits()
     p.add_argument("--rules", required=True, help="dlgp file with the rule base")
     p.add_argument("--query", required=True, help="dlgp file with the query")
     p.add_argument("--operator", choices=OPERATOR_KINDS, default="aggregated")
     p.add_argument("--no-decompose", action="store_true",
                    help="keep non-atomic heads (full-piece operator only)")
     p.add_argument("--max-depth", type=int)
-    p.add_argument("--max-generated", type=int, default=100_000)
-    p.add_argument("--timeout", type=float, default=60.0)
+    p.add_argument("--max-generated", type=int, default=defaults.max_generated)
+    p.add_argument("--timeout", type=float, default=defaults.timeout)
     p.add_argument("--json", action="store_true", help="emit JSON instead of dlgp")
     p.add_argument("--debug-invariants", action="store_true")
 

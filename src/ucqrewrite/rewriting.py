@@ -22,11 +22,12 @@ from .unification import (
     validate_piece_unifier,
 )
 
-OPERATOR_KINDS = ("full-piece", "single-piece", "aggregated")
-
 
 def beta(q: ConjunctiveQuery, rule: ExistentialRule, mu: PieceUnifier) -> ConjunctiveQuery:
-    """One-step rewriting u(body) + u(q minus unified part), not canonicalized."""
+    """One-step rewriting u(body) + u(q minus unified part), not canonicalized;
+    rule must be mu.rule, which mu is validated against."""
+    if rule is not mu.rule and rule != mu.rule:
+        raise ValueError(f"rule {rule.label!r} is not the unifier's rule {mu.rule.label!r}")
     problems = validate_piece_unifier(q, mu)
     if problems:
         raise ValueError("invalid piece-unifier: " + "; ".join(problems))
@@ -38,6 +39,15 @@ def beta(q: ConjunctiveQuery, rule: ExistentialRule, mu: PieceUnifier) -> Conjun
 Operator = Callable[[ConjunctiveQuery, Union[RuleBase, Iterable[ExistentialRule]]],
                     list[ConjunctiveQuery]]
 
+# kind -> unifiers of a query with one CompiledRule; each looks its function up
+# here at call time, so a wrapper installed on this module sees the calls
+UNIFIERS = {
+    "full-piece": lambda q, r: general_piece_unifiers(q, r.copy(0).rule),
+    "single-piece": lambda q, r: single_piece_unifiers(q, r.copy(0)),
+    "aggregated": lambda q, r: [agg.merged for agg in enumerate_aggregated(q, r)],
+}
+OPERATOR_KINDS = tuple(UNIFIERS)
+
 
 def make_operator(kind: str) -> Operator:
     """One-step rewriting: beta over each unifier of kind, each with its rule copy.
@@ -47,22 +57,8 @@ def make_operator(kind: str) -> Operator:
     namespace, such as a raw rewriting, is rewritten in its canonical form, as
     it may share variables with the rule copies.
     """
-    if kind == "aggregated":
-
-        def unifiers(q, r):
-            return [agg.merged for agg in enumerate_aggregated(q, r)]
-
-    elif kind == "single-piece":
-
-        def unifiers(q, r):
-            return single_piece_unifiers(q, r.copy(0))
-
-    elif kind == "full-piece":
-
-        def unifiers(q, r):
-            return general_piece_unifiers(q, r.copy(0).rule)
-
-    else:
+    unifiers = UNIFIERS.get(kind)
+    if unifiers is None:
         raise ValueError(f"unknown operator kind {kind!r}")
 
     def op(q, rules):
@@ -128,13 +124,13 @@ def rewrite(
 
     Keeps a cover of everything generated so far, explored queries preferred,
     and explores only the queries that survived the cover step.  The rules
-    are compiled once, into a RuleBase.  The cover sees the distinct raw
-    rewritings that no earlier level gave it: a query leaves the result set
-    only for one that is >= it, so the result set still covers each raw
-    rewriting decided before, and the cover would drop it again.  Each query
-    the cover keeps is processed once, as it enters the result set.  Answer
-    variables are folded into an answer atom first, so every rewriting keeps
-    them.
+    are compiled once, into a RuleBase.  The cover sees each distinct raw
+    rewriting once per call, at the first level that makes it: a query leaves
+    the result set only for one that is >= it, so the result set still covers
+    each raw rewriting decided before, and the cover would drop it again.
+    Each query the cover keeps is processed once, as it enters the result
+    set.  Answer variables are folded into an answer atom first, so every
+    rewriting keeps them.
     """
     rules = RuleBase(rules)
     limits = limits or Limits()
@@ -161,7 +157,7 @@ def rewrite(
         explored += len(qe)
         # copies are fixed per rule, so equal raw rewritings coincide here
         fresh = []
-        for x in dict.fromkeys(raw):
+        for x in raw:
             key = x.atoms, x.answer_vars
             if key not in seen:
                 seen.add(key)

@@ -163,20 +163,6 @@ def _sticky(pp: TermPartition, sep: AbstractSet[Term], rule: ExistentialRule) ->
     return frozenset(sticky)
 
 
-def unifiable(q_atoms: Iterable[Atom], rule: ExistentialRule) -> bool:
-    """Can q_atoms be unified with the (atomic) head, respecting existentials?"""
-    return _unifiable(partition_by_position(list(q_atoms) + [rule.head_atom]), rule)
-
-
-def sticky_variables(
-    q: ConjunctiveQuery, q_atoms: Iterable[Atom], rule: ExistentialRule
-) -> frozenset[Term]:
-    """Separating variables landing in a class with an existential variable."""
-    q_atoms = frozenset(q_atoms)
-    pp = partition_by_position(list(q_atoms) + [rule.head_atom])
-    return _sticky(pp, separating_vars(q, q_atoms), rule)
-
-
 class RuleCopy:
     """A rule renamed apart by ``kb.freshen_rule``, with the positionwise
     partition of its head and each piece it has been tried on."""
@@ -331,35 +317,30 @@ def enumerate_aggregated(
 ) -> list[AggregatedUnifier]:
     """Every compatible aggregation of single-piece unifiers, depth first.
 
-    Member slot k uses the rule's copy k, so the members are pairwise
-    variable-disjoint, and an aggregation of m members uses the rule's
-    aggregated rule over copies 0..m-1.  A plain rule is compiled here.  Each
-    subset of the base q_parts is built once.
+    The pieces are searched once, on copy 0; a renamed copy has the same.
+    Member slot k is its piece over copy k, with copy k's memoized partition,
+    so the members are pairwise variable-disjoint; copy k is built when a
+    (k+1)-member candidate is first tried.  An aggregation of m members uses
+    the aggregated rule over copies 0..m-1.  A plain rule is compiled here.
+    Each subset of the pieces is built once.
     """
     compiled = rule if isinstance(rule, CompiledRule) else CompiledRule(rule)
-    base = single_piece_unifiers(q, compiled.copy(0))
-    if not base:
-        return []
-    slots = [{m.q_part: m for m in base}] + [
-        {m.q_part: m for m in single_piece_unifiers(q, compiled.copy(k))}
-        for k in range(1, len(base))]
-
-    parts = sorted((m.q_part for m in base), key=min)
-
+    parts = sorted((m.q_part for m in single_piece_unifiers(q, compiled.copy(0))), key=min)
     out: list[AggregatedUnifier] = []
 
-    def extend(subset: tuple[frozenset[Atom], ...], start: int) -> None:
+    def extend(members: list[PieceUnifier], start: int) -> None:
         # a failed aggregate stays failed under more members: parts overlap
         # or the joined partition only merges more classes
         for j in range(start, len(parts)):
-            cand = subset + (parts[j],)
-            agg = aggregate([slots[i][p] for i, p in enumerate(cand)],
-                            compiled.aggregated(len(cand)))
+            c = compiled.copy(len(members))
+            p = parts[j]
+            cand = members + [PieceUnifier(p, c.rule.head, c.partition(p), c.rule)]
+            agg = aggregate(cand, compiled.aggregated(len(cand)))
             if agg is not None:
                 out.append(agg)
                 extend(cand, j + 1)
 
-    extend((), 0)
+    extend([], 0)
     return out
 
 
@@ -392,17 +373,17 @@ def _emit_minimal(
     return out
 
 
-def general_piece_unifiers(
-    q: ConjunctiveQuery,
-    rule: ExistentialRule,
-    max_query_atoms: int = 10,
-    max_head_atoms: int = 4,
-) -> list[PieceUnifier]:
+# size caps of the exhaustive enumeration
+MAX_QUERY_ATOMS = 10
+MAX_HEAD_ATOMS = 4
+
+
+def general_piece_unifiers(q: ConjunctiveQuery, rule: ExistentialRule) -> list[PieceUnifier]:
     """Exhaustive enumeration of most general piece-unifiers (oracle-grade).
 
     Exponential by design; refuses inputs beyond the size caps.
     """
-    if len(q.atoms) > max_query_atoms or len(rule.head) > max_head_atoms:
+    if len(q.atoms) > MAX_QUERY_ATOMS or len(rule.head) > MAX_HEAD_ATOMS:
         raise ValueError("input beyond oracle size caps")
 
     out: list[PieceUnifier] = []

@@ -22,6 +22,7 @@ from ucqrewrite import (
     rewriting,
     rule,
     saturate,
+    single_piece_unifiers,
     var,
 )
 from ucqrewrite.dlgp import printed_cover
@@ -62,6 +63,43 @@ def test_beta_rejects_invalid_unifier():
     with pytest.raises(ValueError):
         beta(q, r, bad)
     assert len(mus) == 1  # only the tail atom unifies
+
+
+def test_beta_rejects_a_rule_other_than_the_unifiers():
+    r1 = rule("r1", [atom("q", x)], [atom("p", x, y)])
+    r2 = rule("r2", [atom("s", x)], [atom("t", x, y)])
+    q = cq(atom("p", u, v))
+    (mu,) = single_piece_unifiers(q, r1)
+    with pytest.raises(ValueError):
+        beta(q, r2, mu)
+    # an equal rule is the same rule
+    same = rule("r1", [atom("q", x)], [atom("p", x, y)])
+    assert beta(q, same, mu) == beta(q, r1, mu) == cq(atom("q", u))
+
+
+UNIFIER_FUNCTIONS = {"full-piece": "general_piece_unifiers",
+                     "single-piece": "single_piece_unifiers",
+                     "aggregated": "enumerate_aggregated"}
+
+
+@pytest.mark.parametrize("kind", OPERATOR_KINDS)
+def test_operators_call_their_unifier_function_through_the_module(kind, monkeypatch):
+    # a wrapper installed on the module attribute after the operator is made
+    # must see its calls, as the per-layer tracer does
+    op = make_operator(kind)
+    name = UNIFIER_FUNCTIONS[kind]
+    found = getattr(rewriting, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return found(*args)
+
+    monkeypatch.setattr(rewriting, name, counting)
+    r = rule("r", [atom("q", x)], [atom("p", x, y)])
+    assert [canonicalize(g) for g in op(cq(atom("p", u, v)), [r])] == [
+        canonicalize(cq(atom("q", u)))]
+    assert calls
 
 
 def test_two_rule_loop_terminates_with_two_element_cover():

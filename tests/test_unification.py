@@ -20,8 +20,7 @@ from ucqrewrite import (
     rule,
     separating_vars,
     single_piece_unifiers,
-    sticky_variables,
-    unifiable,
+    unification,
     validate_piece_unifier,
     var,
 )
@@ -218,17 +217,24 @@ def test_validity_check_returns_the_problems_of_the_plain_set_check(case):
 def test_unifiable_rejects_existential_frontier_merge():
     r = rule("r", [atom("q", x)], [atom("p", x, y)])
     # p(u,u) forces x and y together: frontier meets existential
-    assert not unifiable([atom("p", u, u)], r)
-    assert unifiable([atom("p", u, v)], r)
+    assert single_piece_unifiers(cq(atom("p", u, u)), r) == []
+    (mu,) = single_piece_unifiers(cq(atom("p", u, v)), r)
+    assert mu.q_part == {atom("p", u, v)}
     # constant in the existential position
-    assert not unifiable([atom("p", u, a)], r)
+    assert single_piece_unifiers(cq(atom("p", u, a)), r) == []
 
 
 def test_sticky_variables():
     r = rule("r", [atom("q", x)], [atom("p", x, y)])
     q = cq(atom("p", u, v), atom("p", w, v), atom("r", u, w))
-    assert sticky_variables(q, {atom("p", u, v)}, r) == {v}
-    assert sticky_variables(q, {atom("p", u, v), atom("p", w, v)}, r) == frozenset()
+    # v is sticky in p(u,v), so the piece grows by p(w,v), where nothing is sticky
+    (mu,) = single_piece_unifiers(q, r)
+    assert mu.q_part == {atom("p", u, v), atom("p", w, v)}
+    # v is sticky and reaches s(v), which the head cannot unify: no piece
+    assert single_piece_unifiers(cq(atom("p", u, v), atom("s", v)), r) == []
+    # u is separating but meets only the frontier: not sticky
+    (mu,) = single_piece_unifiers(cq(atom("p", u, v), atom("s", u)), r)
+    assert mu.q_part == {atom("p", u, v)}
 
 
 def test_atomic_algorithm_single_result_on_chained_pair():
@@ -286,6 +292,27 @@ def test_aggregations_are_every_compatible_subset_of_the_base_parts():
             if aggregate([slots[i][p] for i, p in enumerate(subset)]) is not None:
                 want.add(subset)
         assert len(got) == len(set(got)) and set(got) == want
+
+
+def test_aggregation_searches_the_pieces_once(monkeypatch):
+    r = rule("r", [atom("p", x, y)], [atom("q", x, y)])
+    q = cq(atom("q", u, v), atom("q", v, w), atom("q", w, t))
+    calls = []
+    search = unification.single_piece_unifiers
+
+    def counting(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(unification, "single_piece_unifiers", counting)
+    aggs = enumerate_aggregated(q, r)
+    assert len(calls) == 1
+    assert sorted(len(ag.members) for ag in aggs) == [1, 1, 1, 2, 2, 2, 3]
+    # member k is over copy k of the rule
+    three = aggs[2]
+    assert [m.q_part for m in three.members] == [frozenset({at}) for at in sorted(q.atoms)]
+    copies = [m.rule.variables() for m in three.members]
+    assert len(frozenset().union(*copies)) == sum(map(len, copies))
 
 
 def test_aggregate_rejects_overlapping_parts():
