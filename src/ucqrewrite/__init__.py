@@ -5,7 +5,6 @@ from .kb import (
     ConjunctiveQuery,
     ExistentialRule,
     FreshCounter,
-    KnowledgeBase,
     Term,
     atom,
     attach_answer_atom,

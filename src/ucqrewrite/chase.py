@@ -11,19 +11,16 @@ from .kb import (
     ConjunctiveQuery,
     ExistentialRule,
     NULL_PREFIX,
+    Substitution,
     Term,
+    apply_to_atom,
+    apply_to_atoms,
     const,
     strip_answer_atom,
     vars_of,
 )
 from .dlgp import query_to_dlgp
-from .homomorphism import (
-    Substitution,
-    apply_to_atom,
-    cover,
-    find_homomorphism,
-    homomorphisms,
-)
+from .homomorphism import cover, find_homomorphism, homomorphisms
 
 
 class ChaseState:
@@ -72,20 +69,12 @@ class EntailmentVerdict:
         return self.value == "yes"
 
 
-def _freeze_atoms(atoms: Iterable[Atom], state: ChaseState) -> set[Atom]:
-    """Existential variables of a fact become labelled nulls (frozen constants)."""
-    mapping: dict[Term, Term] = {}
-    out = set()
-    for a in sorted(atoms):
-        args = []
-        for t in a.args:
-            if t.is_variable:
-                if t not in mapping:
-                    mapping[t] = state.fresh_null()
-                t = mapping[t]
-            args.append(t)
-        out.add(Atom(a.predicate, tuple(args)))
-    return out
+def _freeze_atoms(atoms: Iterable[Atom], state: ChaseState) -> frozenset[Atom]:
+    """Existential variables of a fact become labelled nulls (frozen constants),
+    numbered in order of first occurrence in the sorted atoms."""
+    atoms = sorted(atoms)
+    firsts = dict.fromkeys(t for a in atoms for t in a.args if t.is_variable)
+    return apply_to_atoms({v: state.fresh_null() for v in firsts}, atoms)
 
 
 def _apply_round(state: ChaseState, rules: list[ExistentialRule], rank: int) -> bool:
@@ -119,8 +108,7 @@ def _apply_round(state: ChaseState, rules: list[ExistentialRule], rank: int) -> 
                 continue
             ex_map = {e: state.fresh_null() for e in existentials}
             for a in trigger:
-                grounded = Atom(a.predicate, tuple(ex_map.get(t, t) for t in a.args))
-                added |= state.add(grounded, rank)
+                added |= state.add(apply_to_atom(ex_map, a), rank)
     return added
 
 
@@ -146,6 +134,8 @@ def entails(
     """Bounded entailment: "yes" and "no" are certain; "unknown_at_bound" is
     returned when the rank bound or the optional atom budget is exhausted
     before the chase reaches a fixpoint."""
+    if max_rank < 0:
+        raise ValueError("max_rank must be >= 0")
     state = ChaseState(facts)
     rules = list(rules)
     query = sorted(q.atoms)
@@ -160,17 +150,12 @@ def entails(
         if not _apply_round(state, rules, r + 1):
             # fixpoint: the chase is a universal model, absence is definitive
             return EntailmentVerdict("no", ranks_used=r)
-    return EntailmentVerdict("unknown_at_bound", ranks_used=max_rank)
 
 
 def freeze_query(q: ConjunctiveQuery, prefix: str = "__frz") -> frozenset[Atom]:
     """Turn a query into a fact by renaming its variables to fresh constants."""
-    mapping: dict[Term, Term] = {}
-    for i, v in enumerate(sorted(vars_of(q.atoms))):
-        mapping[v] = const(f"{prefix}{i}")
-    return frozenset(
-        Atom(a.predicate, tuple(mapping.get(t, t) for t in a.args)) for a in q.atoms
-    )
+    frozen = {v: const(f"{prefix}{i}") for i, v in enumerate(sorted(vars_of(q.atoms)))}
+    return apply_to_atoms(frozen, q.atoms)
 
 
 def check_one_step_soundness(

@@ -21,28 +21,26 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     defaults = Limits()
     p.add_argument("--rules", required=True, help="dlgp file with the rule base")
     p.add_argument("--query", required=True, help="dlgp file with the query")
-    p.add_argument("--operator", choices=OPERATOR_KINDS, default="aggregated")
     p.add_argument("--no-decompose", action="store_true",
                    help="keep non-atomic heads (full-piece operator only)")
     p.add_argument("--max-depth", type=int)
     p.add_argument("--max-generated", type=int, default=defaults.max_generated)
     p.add_argument("--timeout", type=float, default=defaults.timeout)
-    p.add_argument("--json", action="store_true", help="emit JSON instead of dlgp")
     p.add_argument("--debug-invariants", action="store_true")
 
 
-def _operators(args) -> list[str]:
-    """The operators the subcommand runs: --operators for compare, else --operator."""
-    if not hasattr(args, "operators"):
-        return [args.operator]
-    operators = [o.strip() for o in args.operators.split(",") if o.strip()]
+def _operators(text: str) -> list[str]:
+    """compare's comma-separated --operators list."""
+    operators = [o.strip() for o in text.split(",") if o.strip()]
     for o in operators:
         if o not in OPERATOR_KINDS:
             raise DlgpError(f"unknown operator {o!r}")
     return operators
 
 
-def _load(args):
+def _load(args, operators: list[str]):
+    """The rules, decomposed unless --no-decompose, and the query; operators
+    are the ones the run uses, which --no-decompose restricts."""
     with open(args.rules, encoding="utf-8") as fh:
         rules_doc = parse_document(fh.read())
     with open(args.query, encoding="utf-8") as fh:
@@ -54,7 +52,7 @@ def _load(args):
     counter = FreshCounter()
     if not args.no_decompose:
         rules = [d for r in rules for d in decompose_atomic_head(r, counter)]
-    elif (any(o != "full-piece" for o in _operators(args))
+    elif (any(o != "full-piece" for o in operators)
           and any(not r.has_atomic_head for r in rules)):
         raise DlgpError(
             "non-atomic heads require the full-piece operator when --no-decompose is set"
@@ -62,23 +60,23 @@ def _load(args):
     return rules, query
 
 
-def _run(args, rules, query, operator: Optional[str] = None):
+def _run(args, rules, query, operator: str):
     limits = Limits(max_depth=args.max_depth, max_generated=args.max_generated,
                     timeout=args.timeout)
-    op = make_operator(operator or args.operator)
-    return rewrite(query, rules, op, limits, debug_invariants=args.debug_invariants)
+    return rewrite(query, rules, make_operator(operator), limits,
+                   debug_invariants=args.debug_invariants)
 
 
 def cmd_rewrite(args) -> int:
-    rules, query = _load(args)
-    result = _run(args, rules, query)
+    rules, query = _load(args, [args.operator])
+    result = _run(args, rules, query, args.operator)
     sys.stdout.write(serialize(result, "json" if args.json else "dlgp"))
     return 0 if result.terminated else 2
 
 
 def cmd_verify(args) -> int:
-    rules, query = _load(args)
-    result = _run(args, rules, query)
+    rules, query = _load(args, [args.operator])
+    result = _run(args, rules, query, args.operator)
     extra = None
     if args.facts:
         with open(args.facts, encoding="utf-8") as fh:
@@ -92,12 +90,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    rules, query = _load(args)
+    operators = _operators(args.operators)
+    rules, query = _load(args, operators)
     rows = []
-    for o in _operators(args):
+    for o in operators:
         t0 = time.monotonic()
         try:
-            result = _run(args, rules, query, operator=o)
+            result = _run(args, rules, query, o)
         except ValueError as e:  # e.g. oracle size-cap refusal
             rows.append({"operator": o, "refused": str(e)})
             continue
@@ -140,20 +139,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "minimal unions of conjunctive queries.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("rewrite", help="compute the rewriting cover")
+    # each subcommand takes exactly its own flags: no prefix of one is accepted,
+    # so compare's --operators does not take rewrite's --operator
+    p = sub.add_parser("rewrite", allow_abbrev=False, help="compute the rewriting cover")
     _add_common(p)
+    p.add_argument("--operator", choices=OPERATOR_KINDS, default="aggregated")
+    p.add_argument("--json", action="store_true", help="emit JSON instead of dlgp")
     p.set_defaults(func=cmd_rewrite)
 
-    p = sub.add_parser("verify", help="chase-based verification of a rewriting run")
+    p = sub.add_parser("verify", allow_abbrev=False,
+                       help="chase-based verification of a rewriting run")
     _add_common(p)
+    p.add_argument("--operator", choices=OPERATOR_KINDS, default="aggregated")
     p.add_argument("--facts", help="dlgp file with fact bases")
     p.add_argument("--samples", type=int, default=30,
                    help="random fact bases for the completeness check")
     p.add_argument("--seed", type=int, default=0, help="seed of the sampled fact bases")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("compare", help="run several operators side by side")
+    p = sub.add_parser("compare", allow_abbrev=False, help="run several operators side by side")
     _add_common(p)
+    p.add_argument("--json", action="store_true", help="print the rows as JSON")
     p.add_argument("--operators", default="single-piece,aggregated",
                    help="comma-separated operator list")
     p.set_defaults(func=cmd_compare)

@@ -27,7 +27,6 @@ from .kb import (
     RESERVED_PREFIX,
     Term,
     canonicalize,
-    check_arities,
     const,
     strip_answer_atom,
     var,
@@ -149,11 +148,10 @@ class _Parser:
             args.append(self.term())
         self.expect(")")
         a = Atom(tok.text, tuple(args))
-        try:
-            check_arities([a], self.arities)
-        except ValueError as e:
-            raise DlgpError(str(e), tok.span) from None
-        self.arities.setdefault(a.predicate, a.arity)
+        prev = self.arities.setdefault(a.predicate, a.arity)
+        if prev != a.arity:
+            raise DlgpError(f"predicate {a.predicate!r} used with arities {prev} and {a.arity}",
+                            tok.span)
         return a
 
     def atom_list(self) -> list[Atom]:

@@ -7,27 +7,11 @@ from .kb import (
     Atom,
     AtomIndex,
     ConjunctiveQuery,
-    Term,
+    Substitution,
+    apply_to_atoms,
     attach_answer_atom,
     canonicalize,
 )
-
-# A substitution maps variables to terms; constants are implicitly fixed.
-Substitution = dict[Term, Term]
-
-
-def apply_to_term(s: Substitution, t: Term) -> Term:
-    return s.get(t, t)
-
-
-def apply_to_atom(s: Substitution, a: Atom) -> Atom:
-    """s(a); a itself when s leaves every argument as it is."""
-    args = tuple([s.get(t, t) for t in a.args])
-    return a if args == a.args else Atom(a.predicate, args)
-
-
-def apply_to_atoms(s: Substitution, atoms: Iterable[Atom]) -> frozenset[Atom]:
-    return frozenset(apply_to_atom(s, a) for a in atoms)
 
 
 def _narrow(domains, occurs, b, bound, chosen, narrowed) -> bool:

@@ -1,4 +1,4 @@
-"""Core syntactic objects: terms, atoms, queries, rules, knowledge bases.
+"""Core syntactic objects: terms, atoms, queries, rules and substitutions.
 
 Queries and facts are plain sets of atoms; a non-Boolean query carries an
 ordered tuple of answer terms that can be folded into a reserved ``__ans``
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 VARIABLE = "variable"
 CONSTANT = "constant"
@@ -104,6 +104,20 @@ class Atom(tuple):
 
 def atom(predicate: str, *args: Term) -> Atom:
     return Atom(predicate, tuple(args))
+
+
+# A substitution maps variables to terms; constants are implicitly fixed.
+Substitution = dict[Term, Term]
+
+
+def apply_to_atom(s: Substitution, a: Atom) -> Atom:
+    """s(a); a itself when s leaves every argument as it is."""
+    args = tuple([s.get(t, t) for t in a.args])
+    return a if args == a.args else Atom(a.predicate, args)
+
+
+def apply_to_atoms(s: Substitution, atoms: Iterable[Atom]) -> frozenset[Atom]:
+    return frozenset(apply_to_atom(s, a) for a in atoms)
 
 
 def vars_of(atoms: Iterable[Atom]) -> frozenset[Term]:
@@ -272,33 +286,6 @@ class FreshCounter:
         return next(self._count)
 
 
-@dataclass
-class KnowledgeBase:
-    rules: list[ExistentialRule]
-    facts: frozenset[Atom] = frozenset()
-
-    def __post_init__(self):
-        check_arities(self.all_atoms())
-
-    def all_atoms(self) -> Iterator[Atom]:
-        for r in self.rules:
-            yield from r.body
-            yield from r.head
-        yield from self.facts
-
-
-def check_arities(atoms: Iterable[Atom], known: Optional[dict[str, int]] = None) -> dict[str, int]:
-    """Ensure each predicate is used with a single arity."""
-    arities: dict[str, int] = dict(known or {})
-    for a in atoms:
-        prev = arities.setdefault(a.predicate, a.arity)
-        if prev != a.arity:
-            raise ValueError(
-                f"predicate {a.predicate!r} used with arities {prev} and {a.arity}"
-            )
-    return arities
-
-
 def freshen_rule(r: ExistentialRule, counter: FreshCounter) -> ExistentialRule:
     """Rename all rule variables to fresh ones (one index per call).
 
@@ -307,26 +294,27 @@ def freshen_rule(r: ExistentialRule, counter: FreshCounter) -> ExistentialRule:
     that does not use the prefix, and copies with distinct indices share none.
     """
     k = counter.next()
-    mapping: dict[Term, Term] = {}
+    mapping: Substitution = {}
     used: set[str] = set()
     for v in sorted(r.variables()):
-        name = v.name if v.fresh_index is None else f"{v.name}{v.fresh_index}"
+        name = str(v)
         while name in used:  # x at index 1 must not clash with a variable named x1
             name += "_"
         used.add(name)
         mapping[v] = Term(VARIABLE, RESERVED_PREFIX + name, k)
-
-    def sub(a: Atom) -> Atom:
-        return Atom(a.predicate, tuple(mapping.get(t, t) for t in a.args))
-
-    return ExistentialRule(r.label, frozenset(map(sub, r.body)), frozenset(map(sub, r.head)))
+    return ExistentialRule(r.label, apply_to_atoms(mapping, r.body),
+                           apply_to_atoms(mapping, r.head))
 
 
 def decompose_atomic_head(r: ExistentialRule, counter: FreshCounter) -> list[ExistentialRule]:
-    """Split a multi-atom-head rule into atomic-head rules via an aux predicate."""
+    """Split a multi-atom-head rule into atomic-head rules via an aux predicate.
+
+    The aux predicate takes the next index of counter, so rules that share a
+    label, as DLGP allows, do not share it.
+    """
     if len(r.head) <= 1:
         return [r]
-    aux_name = AUX_PREFIX + (r.label if r.label else f"r{counter.next()}")
+    aux_name = f"{AUX_PREFIX}{r.label}_{counter.next()}"
     head_vars = tuple(sorted(vars_of(r.head)))
     aux = Atom(aux_name, head_vars)
     out = [ExistentialRule(f"{r.label}_aux", r.body, frozenset({aux}))]
@@ -439,5 +427,5 @@ def canonicalize(q: ConjunctiveQuery) -> ConjunctiveQuery:
             automorphisms.append([inverse[c] for c in child])
             del stack[next(k for k, (a, b) in enumerate(zip(path, best_path)) if a != b) + 1:]
     names = {v: Term(VARIABLE, "v", best[i]) for i, v in enumerate(vs)}
-    atoms = frozenset(Atom(a.predicate, tuple(names.get(t, t) for t in a.args)) for a in q.atoms)
-    return ConjunctiveQuery(atoms, tuple(names.get(t, t) for t in q.answer_vars))
+    return ConjunctiveQuery(apply_to_atoms(names, q.atoms),
+                            tuple(names.get(t, t) for t in q.answer_vars))

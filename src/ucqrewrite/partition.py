@@ -3,8 +3,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .kb import Term
-from .homomorphism import Substitution
+from .kb import Substitution, Term
 
 
 class TermPartition:

@@ -9,10 +9,11 @@ from .kb import (
     RESERVED_PREFIX,
     ConjunctiveQuery,
     ExistentialRule,
+    apply_to_atoms,
     attach_answer_atom,
     canonicalize,
 )
-from .homomorphism import apply_to_atoms, core, cover, more_general
+from .homomorphism import core, cover, more_general
 from .unification import (
     PieceUnifier,
     RuleBase,
@@ -25,9 +26,12 @@ from .unification import (
 
 def beta(q: ConjunctiveQuery, rule: ExistentialRule, mu: PieceUnifier) -> ConjunctiveQuery:
     """One-step rewriting u(body) + u(q minus unified part), not canonicalized;
-    rule must be mu.rule, which mu is validated against."""
+    rule must be mu.rule, which mu is validated against.  q's answer variables
+    are folded into an answer atom first, so mu may not merge one with an
+    existential variable, and the rewriting keeps them."""
     if rule is not mu.rule and rule != mu.rule:
         raise ValueError(f"rule {rule.label!r} is not the unifier's rule {mu.rule.label!r}")
+    q = attach_answer_atom(q)
     problems = validate_piece_unifier(q, mu)
     if problems:
         raise ValueError("invalid piece-unifier: " + "; ".join(problems))
@@ -53,9 +57,11 @@ def make_operator(kind: str) -> Operator:
     """One-step rewriting: beta over each unifier of kind, each with its rule copy.
 
     The operator takes the rules as a RuleBase, or compiles a plain iterable
-    of rules for the one call.  A query with variables in the reserved
-    namespace, such as a raw rewriting, is rewritten in its canonical form, as
-    it may share variables with the rule copies.
+    of rules for the one call.  A query's answer variables are folded into an
+    answer atom first, as ``rewrite`` does, so every rewriting keeps them.  A
+    query with variables in the reserved namespace, such as a raw rewriting,
+    is rewritten in its canonical form, as it may share variables with the
+    rule copies.
     """
     unifiers = UNIFIERS.get(kind)
     if unifiers is None:
@@ -63,6 +69,7 @@ def make_operator(kind: str) -> Operator:
 
     def op(q, rules):
         base = rules if isinstance(rules, RuleBase) else RuleBase(rules)
+        q = attach_answer_atom(q)
         if any(v.name.startswith(RESERVED_PREFIX) for v in q.variables()):
             q = canonicalize(q)
         return [beta(q, mu.rule, mu) for r in base.unifiable(q) for mu in unifiers(q, r)]

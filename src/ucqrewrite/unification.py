@@ -14,11 +14,12 @@ from .kb import (
     ConjunctiveQuery,
     ExistentialRule,
     FreshCounter,
+    Substitution,
     Term,
+    apply_to_atoms,
     terms_of,
     vars_of,
 )
-from .homomorphism import Substitution
 from .partition import (
     TermPartition,
     associated_substitution,
@@ -72,11 +73,6 @@ def separating_vars(q: ConjunctiveQuery, q_part: Iterable[Atom]) -> frozenset[Te
     return frozenset(_separating(q, q_part))
 
 
-def _images(u: Substitution, atoms: Iterable[Atom]) -> set[tuple]:
-    """u applied to each atom, as (predicate, argument tuple) pairs."""
-    return {(a.predicate, tuple([u.get(t, t) for t in a.args])) for a in atoms}
-
-
 def validate_piece_unifier(q: ConjunctiveQuery, mu: PieceUnifier) -> list[str]:
     """Return the list of violated piece-unifier conditions (empty if valid)."""
     problems = []
@@ -103,7 +99,7 @@ def validate_piece_unifier(q: ConjunctiveQuery, mu: PieceUnifier) -> list[str]:
             )
             break
     u = mu.substitution()
-    if _images(u, mu.h_part) != _images(u, mu.q_part):
+    if apply_to_atoms(u, mu.h_part) != apply_to_atoms(u, mu.q_part):
         problems.append("u(h_part) != u(q_part)")
     return problems
 

@@ -26,8 +26,7 @@ from ucqrewrite import (
     verify_rewriting_set,
 )
 from ucqrewrite.chase import random_ground_atoms
-from ucqrewrite.homomorphism import apply_to_atom
-from ucqrewrite.kb import NULL_PREFIX, Atom, ConjunctiveQuery, vars_of
+from ucqrewrite.kb import NULL_PREFIX, Atom, ConjunctiveQuery, apply_to_atom, vars_of
 
 from conftest import reference_homomorphisms
 
@@ -70,6 +69,11 @@ def test_chase_respects_rank_bound():
 def test_chase_rejects_negative_rank():
     with pytest.raises(ValueError):
         chase([], [], max_rank=-1)
+
+
+def test_entails_rejects_negative_rank():
+    with pytest.raises(ValueError, match="max_rank"):
+        entails([atom("p", a)], [], cq(atom("p", u)), -1)
 
 
 def test_entailment_positive_and_unknown():

@@ -10,6 +10,7 @@ from ucqrewrite import (
     Limits,
     attach_answer_atom,
     decompose_atomic_head,
+    entails,
     make_operator,
     parse_document,
     rewrite,
@@ -101,8 +102,9 @@ def test_directory_as_input_file(capsys, tmp_path):
 
 
 def test_verify_only_flags_are_usage_errors_elsewhere(capsys):
-    for flags in (("--seed", "1"), ("--facts", RULES)):
-        code, _, err = run(capsys, "rewrite", "--rules", RULES, "--query", RULES, *flags)
+    for command, flags in (("rewrite", ("--seed", "1")), ("rewrite", ("--facts", RULES)),
+                           ("compare", ("--operator", "aggregated")), ("verify", ("--json",))):
+        code, _, err = run(capsys, command, "--rules", RULES, "--query", RULES, *flags)
         assert code == 1
         assert flags[0] in err
 
@@ -136,6 +138,23 @@ def test_multi_atom_head_decomposition(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["cover"] == ["? :- p(X0,X1), s(X1).", "? :- q(X0)."]
     assert payload["stats"]["output"] == 2
+
+
+def test_rules_that_share_a_label_do_not_share_an_aux_predicate(capsys, tmp_path):
+    rules = write(tmp_path, "m.dlgp",
+                  "[r] p(X,Y), q(Y) :- a(X).\n[r] s(X,Y), t(Y) :- b(X).\n")
+    query = write(tmp_path, "q.dlgp", "? :- p(U,V), t(V).\n")
+    code, out, _ = run(capsys, "rewrite", "--rules", rules, "--query", query)
+    assert code == 0
+    code, oracle, _ = run(capsys, "rewrite", "--rules", rules, "--query", query,
+                          "--no-decompose", "--operator", "full-piece")
+    assert out == oracle == "? :- p(X0,X1), t(X1).\n"
+    counter = FreshCounter()
+    decomposed = [d for r in parse_document(open(rules).read()).rules
+                  for d in decompose_atomic_head(r, counter)]
+    q = parse_document(open(query).read()).queries[0]
+    for facts in ("a(c).", "b(c)."):
+        assert entails(parse_document(facts).fact_atoms(), decomposed, q, 5).value == "no"
 
 
 def test_compare_output_counts_the_printed_queries(capsys, tmp_path):

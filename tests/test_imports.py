@@ -73,3 +73,50 @@ def test_checker_finds_unreferenced_private_names():
 def test_no_unreferenced_private_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+# module -> the package modules it may import.  Each imports only modules
+# below it, so kb, with the terms, queries and the one term map, imports none,
+# and the matcher (homomorphism) sits beside the unification layer, not under it.
+LAYERS = {
+    "kb": set(),
+    "partition": {"kb"},
+    "unification": {"kb", "partition"},
+    "homomorphism": {"kb"},
+    "rewriting": {"kb", "homomorphism", "unification"},
+    "dlgp": {"kb"},
+    "chase": {"kb", "dlgp", "homomorphism"},
+    "cli": {"kb", "dlgp", "rewriting", "chase"},
+}
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules a module imports, relatively or by the package name."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {a.name.split(".")[1] for a in node.names if a.name.startswith("ucqrewrite.")}
+        elif isinstance(node, ast.ImportFrom):
+            parts = node.module.split(".") if node.module else []
+            if not node.level:
+                if parts[:1] != ["ucqrewrite"]:
+                    continue
+                parts = parts[1:]
+            out |= {parts[0]} if parts else {a.name for a in node.names}
+    return out
+
+
+def test_checker_finds_package_imports():
+    source = ("import os\nimport ucqrewrite.chase\nfrom typing import Optional\n"
+              "from . import kb\nfrom .partition import join\nfrom ucqrewrite import dlgp\n"
+              "from ucqrewrite.homomorphism import core\n")
+    assert package_imports(source) == {"chase", "kb", "partition", "dlgp", "homomorphism"}
+
+
+def test_layers_name_every_module():
+    assert set(LAYERS) == {p.stem for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_modules_import_only_the_modules_below_them(path):
+    assert package_imports(path.read_text(encoding="utf-8")) - LAYERS[path.stem] == set()

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from ucqrewrite import (
     Atom,
     ConjunctiveQuery,
+    DlgpError,
     FreshCounter,
-    KnowledgeBase,
     Term,
     atom,
     attach_answer_atom,
@@ -21,11 +21,13 @@ from ucqrewrite import (
     cq,
     decompose_atomic_head,
     freshen_rule,
+    parse_document,
     rule,
     strip_answer_atom,
     var,
 )
-from ucqrewrite.kb import ANS_PREDICATE, CONSTANT, VARIABLE, check_arities, vars_of
+from ucqrewrite.dlgp import SourceSpan
+from ucqrewrite.kb import ANS_PREDICATE, CONSTANT, VARIABLE, vars_of
 from conftest import random_linear_rules, random_query
 
 x, y, z = var("x"), var("y"), var("z")
@@ -142,15 +144,12 @@ def test_rule_frontier_and_existentials():
     assert r.has_atomic_head
 
 
-def test_check_arities_conflict():
-    with pytest.raises(ValueError):
-        check_arities([atom("p", x), atom("p", x, y)])
-
-
-def test_knowledge_base_validates_arities():
-    r = rule("r", [atom("q", x)], [atom("q", x, y)])
-    with pytest.raises(ValueError):
-        KnowledgeBase([r])
+def test_a_predicate_with_two_arities_is_rejected_at_the_second_atom():
+    with pytest.raises(ValueError) as e:
+        parse_document("p(a). p(a,b).")
+    assert isinstance(e.value, DlgpError)
+    assert e.value.span == SourceSpan(1, 7)
+    assert str(e.value) == "predicate 'p' used with arities 1 and 2 at 1:7"
 
 
 def test_freshen_rule_disjoint_and_structure_preserving():

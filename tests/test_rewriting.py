@@ -77,6 +77,27 @@ def test_beta_rejects_a_rule_other_than_the_unifiers():
     assert beta(q, same, mu) == beta(q, r1, mu) == cq(atom("q", u))
 
 
+def test_beta_folds_the_answer_variables_into_the_rewriting():
+    r = rule("r", [atom("q", x)], [atom("p", x, y)])
+    (mu,) = single_piece_unifiers(cq(atom("p", u, v)), r)
+    # v would be bound to the existential y, but an answer variable separates
+    with pytest.raises(ValueError):
+        beta(cq(atom("p", u, v), answer_vars=(v,)), r, mu)
+    got = beta(cq(atom("p", u, v), answer_vars=(u,)), r, mu)
+    assert got == attach_answer_atom(cq(atom("q", u), answer_vars=(u,)))
+
+
+@pytest.mark.parametrize("kind", OPERATOR_KINDS)
+def test_operators_keep_the_answer_variables_of_a_non_boolean_query(kind):
+    r = rule("r", [atom("q", x)], [atom("p", x, y)])
+    op = make_operator(kind)
+    # the answer variable v would bind the existential y: no rewriting
+    assert op(cq(atom("p", u, v), answer_vars=(v,)), [r]) == []
+    (got,) = op(cq(atom("p", u, v), answer_vars=(u,)), [r])
+    assert canonicalize(got) == canonicalize(
+        attach_answer_atom(cq(atom("q", u), answer_vars=(u,))))
+
+
 UNIFIER_FUNCTIONS = {"full-piece": "general_piece_unifiers",
                      "single-piece": "single_piece_unifiers",
                      "aggregated": "enumerate_aggregated"}
