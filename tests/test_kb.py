@@ -152,6 +152,20 @@ def test_a_predicate_with_two_arities_is_rejected_at_the_second_atom():
     assert str(e.value) == "predicate 'p' used with arities 1 and 2 at 1:7"
 
 
+def test_check_arities_conflict():
+    # two arities of one predicate inside a single rule body
+    with pytest.raises(DlgpError) as e:
+        parse_document("q(X) :- p(X), p(X,Y).")
+    assert str(e.value) == "predicate 'p' used with arities 1 and 2 at 1:15"
+
+
+def test_knowledge_base_validates_arities():
+    # the head of a rule and its body disagree on the arity of q
+    with pytest.raises(DlgpError) as e:
+        parse_document("[r] q(X,Y) :- q(X).")
+    assert str(e.value) == "predicate 'q' used with arities 2 and 1 at 1:15"
+
+
 def test_freshen_rule_disjoint_and_structure_preserving():
     r = rule("r", [atom("q", x)], [atom("p", x, y)])
     c = FreshCounter()
