@@ -10,6 +10,7 @@ from .kb import (
     AtomIndex,
     ConjunctiveQuery,
     ExistentialRule,
+    MatchPlan,
     NULL_PREFIX,
     Substitution,
     Term,
@@ -77,7 +78,13 @@ def _freeze_atoms(atoms: Iterable[Atom], state: ChaseState) -> frozenset[Atom]:
     return apply_to_atoms({v: state.fresh_null() for v in firsts}, atoms)
 
 
-def _apply_round(state: ChaseState, rules: list[ExistentialRule], rank: int) -> bool:
+def _compile(rules: Iterable[ExistentialRule]) -> list[tuple]:
+    """Each rule as (its body's match plan, in sorted order, its sorted
+    existentials, its head): what every round reads of it."""
+    return [(MatchPlan(sorted(r.body)), sorted(r.existentials), r.head) for r in rules]
+
+
+def _apply_round(state: ChaseState, rules: list[tuple], rank: int) -> bool:
     """Fire all unsatisfied triggers once; returns True if anything was added.
 
     Triggers come from the instance at the round's start.  A trigger whose
@@ -87,21 +94,19 @@ def _apply_round(state: ChaseState, rules: list[ExistentialRule], rank: int) -> 
     against the previous round's atoms only (semi-naive evaluation), which
     this round does not add to; a longer body is matched against a snapshot
     of the round's start, taken before any rule fires, and its old triggers
-    are skipped.
+    are skipped.  rules come from _compile, once per chase.
     """
     added = False
     delta = state.layers[rank - 1]
-    snapshot = state.index.snapshot() if any(len(r.body) != 1 for r in rules) else None
-    for rule in rules:
-        body = sorted(rule.body)
-        existentials = sorted(rule.existentials)
-        if len(body) == 1:
+    snapshot = state.index.snapshot() if any(len(p.atoms) != 1 for p, _, _ in rules) else None
+    for body, existentials, head in rules:
+        if len(body.atoms) == 1:
             triggers = homomorphisms(body, delta)
         else:
             triggers = (h for h in homomorphisms(body, snapshot) if max(
-                (state.rank[apply_to_atom(h, a)] for a in body), default=0) >= rank - 1)
+                (state.rank[apply_to_atom(h, a)] for a in body.atoms), default=0) >= rank - 1)
         for h in triggers:
-            trigger = sorted(apply_to_atom(h, a) for a in rule.head)
+            trigger = sorted(apply_to_atom(h, a) for a in head)
             # restricted check: skip if the head is already satisfied by an
             # extension of the trigger (existentials still variables there)
             if find_homomorphism(trigger, state.index) is not None:
@@ -117,7 +122,7 @@ def chase(facts: Iterable[Atom], rules: Iterable[ExistentialRule], max_rank: int
     if max_rank < 0:
         raise ValueError("max_rank must be >= 0")
     state = ChaseState(facts)
-    rules = list(rules)
+    rules = _compile(rules)
     for r in range(1, max_rank + 1):
         if not _apply_round(state, rules, r):
             break
@@ -133,12 +138,13 @@ def entails(
 ) -> EntailmentVerdict:
     """Bounded entailment: "yes" and "no" are certain; "unknown_at_bound" is
     returned when the rank bound or the optional atom budget is exhausted
-    before the chase reaches a fixpoint."""
+    before the chase reaches a fixpoint.  The rules and the query are
+    compiled into match plans once, for every round."""
     if max_rank < 0:
         raise ValueError("max_rank must be >= 0")
     state = ChaseState(facts)
-    rules = list(rules)
-    query = sorted(q.atoms)
+    rules = _compile(rules)
+    query = MatchPlan(sorted(q.atoms))
     for r in range(max_rank + 1):
         h = find_homomorphism(query, state.index)
         if h is not None:
@@ -233,7 +239,7 @@ def verify_rewriting_set(
         for f in fact_bases:
             if entails(f, rules, q, base_rank).is_yes:
                 index = AtomIndex(f)
-                if not any(find_homomorphism(qi.atoms, index) is not None for qi in ucq):
+                if not any(find_homomorphism(qi.plan, index) is not None for qi in ucq):
                     report["complete_sampled"] = False
                     report["counterexamples"].append(sorted(str(a) for a in f))
     else:

@@ -1,12 +1,15 @@
 """Command line front end: rewrite, verify and compare workflows.
 
 Exit codes: 0 success, 1 usage, parse, validation or file error, 2 guard
-fired (partial output), 3 verification or cross-operator check failure.
+fired (partial output), 3 verification or cross-operator check failure, 141
+standard output closed before the output was written (the status a shell
+reports for a process that SIGPIPE ended).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Optional
@@ -17,15 +20,29 @@ from .kb import FreshCounter, attach_answer_atom, decompose_atomic_head
 from .rewriting import Limits, OPERATOR_KINDS, make_operator, rewrite
 
 
+BROKEN_PIPE = 141
+
+
+def _non_negative(kind):
+    """An argparse type: kind(text), refused when negative (or NaN)."""
+    def parse(text: str):
+        value = kind(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in its "invalid" message
+    return parse
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     defaults = Limits()
     p.add_argument("--rules", required=True, help="dlgp file with the rule base")
     p.add_argument("--query", required=True, help="dlgp file with the query")
     p.add_argument("--no-decompose", action="store_true",
                    help="keep non-atomic heads (full-piece operator only)")
-    p.add_argument("--max-depth", type=int)
-    p.add_argument("--max-generated", type=int, default=defaults.max_generated)
-    p.add_argument("--timeout", type=float, default=defaults.timeout)
+    p.add_argument("--max-depth", type=_non_negative(int))
+    p.add_argument("--max-generated", type=_non_negative(int), default=defaults.max_generated)
+    p.add_argument("--timeout", type=_non_negative(float), default=defaults.timeout)
     p.add_argument("--debug-invariants", action="store_true")
 
 
@@ -152,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--operator", choices=OPERATOR_KINDS, default="aggregated")
     p.add_argument("--facts", help="dlgp file with fact bases")
-    p.add_argument("--samples", type=int, default=30,
+    p.add_argument("--samples", type=_non_negative(int), default=30,
                    help="random fact bases for the completeness check")
     p.add_argument("--seed", type=int, default=0, help="seed of the sampled fact bases")
     p.set_defaults(func=cmd_verify)
@@ -174,10 +191,30 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as e:  # a usage error exits 1, not 2 (a guard fired)
         return 1 if e.code else 0
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:  # the reader left, e.g. `ucqrewrite verify ... | head`
+        _discard_stdout()
+        return BROKEN_PIPE
     except (DlgpError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+
+
+def _discard_stdout() -> None:
+    """Point standard output's file descriptor at the null device, so the
+    flush at interpreter exit writes what is left in the buffer there and
+    reports no second broken pipe."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not backed by a descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ from .kb import (
     Atom,
     AtomIndex,
     ConjunctiveQuery,
+    MatchPlan,
     Substitution,
     apply_to_atoms,
     attach_answer_atom,
@@ -14,33 +15,20 @@ from .kb import (
 )
 
 
-def _narrow(domains, occurs, b, bound, chosen, narrowed) -> bool:
-    """Keep in each domain the targets that agree with the newly bound
-    variables, saving the old domains in narrowed; False once one empties."""
-    for s in bound:
-        val = b[s]
-        for j, k in occurs[s]:
-            if j != chosen:
-                narrowed.append((j, domains[j]))
-                d = domains[j] = [u for u in domains[j] if u.args[k] == val]
-                if not d:
-                    return False
-    return True
-
-
-def _undo(b, domains, bound, narrowed) -> None:
-    for s in bound:
-        del b[s]
-    for j, d in reversed(narrowed):
-        domains[j] = d
-
-
 def homomorphisms(
-    source: Iterable[Atom],
+    source: Union[MatchPlan, Iterable[Atom]],
     target: Union[AtomIndex, Iterable[Atom]],
     binding: Optional[Substitution] = None,
 ) -> Iterator[Substitution]:
     """All substitutions h with h(source) a subset of target, extending binding.
+
+    source is a MatchPlan, or atoms that are compiled into one here, and a
+    plain iterable target is indexed once, here.  The plan holds what the
+    search needs from the source alone: its atoms in order, each atom's
+    bucket key, constant checks, repeated-variable checks and first-occurrence
+    slots, and the map from each variable to its occurrences (see
+    kb.MatchPlan).  A binding never changes the plan: it only filters this
+    call's domains and leaves its variables' slots unbound.
 
     Forward checking (Haralick and Elliott, AIJ 1980) over an explicit stack.
     Each source atom has one domain: the target atoms of its bucket, in
@@ -50,73 +38,92 @@ def homomorphisms(
     empties; moving on restores them.  The next atom to match is the unbound
     one with the smallest domain, the first in source order on a tie, and its
     candidates are tried in domain order, so a lone source atom yields its
-    domain in order, without the search.  A plain iterable target is indexed
-    once, here.
+    domain in order, without the search.
     """
-    src = list(source)
+    plan = source if isinstance(source, MatchPlan) else MatchPlan(source)
     buckets = (target if isinstance(target, AtomIndex) else AtomIndex(target)).buckets
     b = dict(binding or {})
     domains = []
-    slots = []  # per source atom: (variable, position) where each variable free in b first occurs
-    for a in src:
-        d = buckets.get((a.predicate, a.arity), ())
-        first = {}
-        for k, s in enumerate(a.args):
-            val = b.get(s) if s.is_variable else s
-            if val is not None:
-                d = [u for u in d if u.args[k] == val]
-            elif (k0 := first.setdefault(s, k)) != k:
-                d = [u for u in d if u.args[k] == u.args[k0]]
+    for key, consts, repeats, slots in zip(plan.keys, plan.consts, plan.repeats, plan.slots):
+        d = buckets.get(key, ())
+        for k, c in consts:
+            d = [u for u in d if u[2][k] == c]
+        for k, k0 in repeats:
+            d = [u for u in d if u[2][k] == u[2][k0]]
+        if b:
+            for s, k, _ in slots:
+                if s in b:
+                    val = b[s]
+                    d = [u for u in d if u[2][k] == val]
         if not d:
             return
         domains.append(d)
-        slots.append(list(first.items()))
-    if len(src) == 1:  # every atom of the one domain is a match, in order
+    slots = plan.slots
+    if len(domains) == 1:  # every atom of the one domain is a match, in order
+        new = [(s, k) for s, k, _ in slots[0] if s not in b]
         for t in domains[0]:
             h = dict(b)
-            for s, k in slots[0]:
-                h[s] = t.args[k]
+            for s, k in new:
+                h[s] = t[2][k]
             yield h
         return
-    occurs = None  # variable -> [(source atom, position)], built when first needed
-    free = list(range(len(src)))
-    # one frame per matched atom: [atom, iterator over its candidates, variables
-    # the current candidate bound, (atom, domain) pairs it narrowed, atoms left free]
+    free = list(range(len(domains)))
+    # one frame per matched atom: [atom, iterator over its candidates, the slots
+    # its candidates bind, the (atom, position, slot position) domain checks
+    # those bindings make, the (atom, domain) pairs the current candidate
+    # narrowed (None before the first), atoms left free]
+    # plain loops below, not comprehensions: on lists of a few items, as here,
+    # a comprehension's own call costs more than its work
     stack = []
     while True:
         if free:
-            best = free[0]
-            size = len(domains[best])
-            for i in free:
-                if len(domains[i]) < size:
-                    best, size = i, len(domains[i])
-            stack.append([best, iter(domains[best]), (), (), [i for i in free if i != best]])
+            i = free[0]
+            size = len(domains[i])
+            for j in free:
+                if len(domains[j]) < size:
+                    i, size = j, len(domains[j])
+            new, checks = [], []
+            for slot in slots[i]:
+                if slot[0] not in b:
+                    new.append(slot)
+                    for j, kj in slot[2]:
+                        if j != i:
+                            checks.append((j, kj, slot[1]))
+            below = free.copy()
+            below.remove(i)
+            stack.append([i, iter(domains[i]), new, checks, None, below])
         else:
             yield dict(b)
         while stack:  # move the top frame on to its next candidate that empties no domain
             frame = stack[-1]
-            i, cands, bound, narrowed, below = frame
-            _undo(b, domains, bound, narrowed)
+            i, cands, new, checks, narrowed, below = frame
+            if narrowed is not None:
+                for s, _, _ in new:
+                    del b[s]
+                for j, d in reversed(narrowed):
+                    domains[j] = d
             for t in cands:
-                bound, narrowed = [], []
-                for s, k in slots[i]:
-                    if s not in b:
-                        b[s] = t.args[k]
-                        bound.append(s)
-                if not (bound and below):
+                args, narrowed = t[2], []
+                for j, kj, k in checks:
+                    val = args[k]
+                    narrowed.append((j, domains[j]))
+                    d = []
+                    for u in domains[j]:
+                        if u[2][kj] == val:
+                            d.append(u)
+                    if not d:
+                        break
+                    domains[j] = d
+                else:
                     break
-                if occurs is None:
-                    occurs = {}
-                    for j, sl in enumerate(slots):
-                        for s, k in sl:
-                            occurs.setdefault(s, []).append((j, k))
-                if _narrow(domains, occurs, b, bound, i, narrowed):
-                    break
-                _undo(b, domains, bound, narrowed)
+                for j, d in reversed(narrowed):
+                    domains[j] = d
             else:
                 stack.pop()
                 continue
-            frame[2:4] = bound, narrowed
+            for s, k, _ in new:
+                b[s] = args[k]
+            frame[4] = narrowed
             free = below
             break
         else:
@@ -124,7 +131,7 @@ def homomorphisms(
 
 
 def find_homomorphism(
-    source: Iterable[Atom],
+    source: Union[MatchPlan, Iterable[Atom]],
     target: Union[AtomIndex, Iterable[Atom]],
     binding: Optional[Substitution] = None,
 ) -> Optional[Substitution]:
@@ -135,8 +142,8 @@ def find_homomorphism(
 
 def more_general(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
     """q1 >= q2: q1 maps homomorphically into q2 (on ans-augmented forms)."""
-    a1, a2 = attach_answer_atom(q1), attach_answer_atom(q2)
-    return find_homomorphism(a1.atoms, a2.index) is not None
+    return find_homomorphism(attach_answer_atom(q1).plan,
+                             attach_answer_atom(q2).index) is not None
 
 
 def equivalent(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
@@ -153,19 +160,20 @@ def core(q: ConjunctiveQuery) -> ConjunctiveQuery:
     If h maps the atoms into the atoms minus a, they become their image.  A
     test that fails on a set fails on every retract of it, as the set maps
     onto the retract, so every atom left has failed and no retract remains.
-    h maps each answer variable to itself.  The atoms are indexed once, and
-    again after each retraction; an atom alone in its bucket is never tested,
-    as nothing else can be its image.
+    h maps each answer variable to itself.  The atoms are indexed and
+    compiled into a match plan once, q's own, and again after each
+    retraction; an atom alone in its bucket is never tested, as nothing else
+    can be its image.
     """
-    atoms, index = q.atoms, q.index
+    atoms, index, plan = q.atoms, q.index, q.plan
     fixed = {v: v for v in q.answer_vars if v.is_variable}
     for a in sorted(q.atoms):
         if a not in atoms or len(index.buckets[(a.predicate, a.arity)]) == 1:
             continue
-        h = find_homomorphism(atoms, index.without(a), fixed)
+        h = find_homomorphism(plan, index.without(a), fixed)
         if h is not None:
             atoms = apply_to_atoms(h, atoms)
-            index = AtomIndex(atoms)
+            index, plan = AtomIndex(atoms), MatchPlan(atoms)
     return ConjunctiveQuery(atoms, q.answer_vars)
 
 

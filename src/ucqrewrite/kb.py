@@ -161,15 +161,54 @@ class AtomIndex:
         return out
 
 
+class MatchPlan:
+    """A homomorphism source compiled once for ``homomorphism.homomorphisms``.
+
+    ``atoms`` are the source's atoms in the caller's order, which is the
+    search's order on ties.  For atom j, ``keys[j]`` is its (predicate, arity)
+    bucket key, ``consts[j]`` the (position, constant) pairs and ``repeats[j]``
+    the (position, earlier position) pairs of a repeated variable that every
+    image must agree with, and ``slots[j]`` a (variable, position,
+    occurrences) triple for each variable's first occurrence in it.  A
+    variable's slots share one occurrences list, its slots' (atom, position)
+    pairs in atom order, so the lists are the map from each variable to its
+    occurrences.  Nothing in a plan depends on a target or a binding, so one
+    plan serves every search from its source.
+    """
+
+    __slots__ = ("atoms", "keys", "consts", "repeats", "slots")
+
+    def __init__(self, atoms: Iterable[Atom]):
+        self.atoms = tuple(atoms)
+        self.keys, self.consts, self.repeats, self.slots = [], [], [], []
+        occurrences: dict[Term, list[tuple[int, int]]] = {}
+        for j, (p, n, args) in enumerate(self.atoms):
+            consts, repeats, slots, first = [], [], [], {}
+            for k, t in enumerate(args):
+                if not t[0]:  # a term's first field is its rank, False for a constant
+                    consts.append((k, t))
+                elif t in first:
+                    repeats.append((k, first[t]))
+                else:
+                    first[t] = k
+                    occ = occurrences.setdefault(t, [])
+                    occ.append((j, k))
+                    slots.append((t, k, occ))
+            self.keys.append((p, n))
+            self.consts.append(consts)
+            self.repeats.append(repeats)
+            self.slots.append(slots)
+
+
 @dataclass(frozen=True)
 class ConjunctiveQuery:
     """A CQ as a set of atoms.  answer_vars is empty for Boolean queries.
 
     answer_vars may contain constants after rewriting steps bind an answer
     position; variable entries must occur in the atom set.  The views index,
-    occurrences, signature and sort_key are computed on first use and kept in
-    the instance __dict__, outside the fields, so equality and hashing never
-    see them.
+    plan, occurrences, signature and sort_key are computed on first use and
+    kept in the instance __dict__, outside the fields, so equality and hashing
+    never see them.
     """
 
     atoms: frozenset[Atom]
@@ -194,6 +233,11 @@ class ConjunctiveQuery:
     def index(self) -> AtomIndex:
         """The atoms (not the answer tuple) as an AtomIndex."""
         return AtomIndex(self.atoms)
+
+    @cached_property
+    def plan(self) -> MatchPlan:
+        """The atoms (not the answer tuple) as a MatchPlan, in the set's order."""
+        return MatchPlan(self.atoms)
 
     @cached_property
     def occurrences(self) -> dict[Term, frozenset[Atom]]:

@@ -1,7 +1,10 @@
 """Command line interface: subcommands, flags, output formats, exit codes."""
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +19,7 @@ from ucqrewrite import (
     rewrite,
     serialize,
 )
+import ucqrewrite
 from ucqrewrite.cli import build_parser, main
 
 from conftest import DATA
@@ -34,6 +38,7 @@ def write(tmp_path, name, text):
 
 
 RULES = str(DATA / "two_rule_loop.dlgp")
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(ucqrewrite.__file__))  # the tested copy
 
 
 def test_rewrite_dlgp_output(capsys):
@@ -285,3 +290,60 @@ def test_readme_names_the_parser_flags():
              for a in subparsers.choices[name]._actions
              for o in a.option_strings if o.startswith("--")} - {"--help"}
     assert named == flags
+
+
+class ClosedStdout:
+    """A standard output whose reader has gone, as behind `| head`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("command", ["rewrite", "verify"])
+def test_closed_stdout_is_not_a_file_error(capsys, monkeypatch, command):
+    monkeypatch.setattr("sys.stdout", ClosedStdout())
+    code = main([command, "--rules", RULES, "--query", RULES])
+    assert code == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_exits_quietly():
+    # no reader ever opens the pipe, so every write to it fails, including the
+    # flush at interpreter exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ucqrewrite.cli", "verify",
+                               "--rules", RULES, "--query", RULES],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT),
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("rewrite", "--max-depth", "-1"),
+    ("rewrite", "--max-generated", "-5"),
+    ("rewrite", "--timeout", "-1"),
+    ("verify", "--samples", "-3"),
+])
+def test_negative_numeric_flags_are_usage_errors(capsys, command, flag, value):
+    # each used to run: the guards fired at once (exit 2), or verify sampled
+    # nothing and still reported "complete_sampled": true
+    code, out, err = run(capsys, command, "--rules", RULES, "--query", RULES, flag, value)
+    assert code == 1
+    assert out == ""
+    assert flag in err and ">= 0" in err
+
+
+def test_zero_keeps_its_meaning(capsys):
+    code, out, _ = run(capsys, "rewrite", "--rules", RULES, "--query", RULES,
+                       "--max-depth", "0", "--json")
+    assert code == 2 and json.loads(out)["stats"]["depth"] == 0
+    code, out, _ = run(capsys, "verify", "--rules", RULES, "--query", RULES, "--samples", "0")
+    assert code == 0 and json.loads(out)["complete_sampled"] is True

@@ -27,7 +27,7 @@ from ucqrewrite import (
 )
 from ucqrewrite import homomorphism
 from ucqrewrite.homomorphism import AtomIndex, apply_to_atoms
-from ucqrewrite.kb import terms_of, vars_of
+from ucqrewrite.kb import MatchPlan, terms_of, vars_of
 
 from conftest import reference_homomorphisms
 
@@ -412,3 +412,51 @@ def test_core_of_a_30_atom_path_is_quick():
     start = time.perf_counter()
     assert core(path).atoms == path.atoms
     assert time.perf_counter() - start < 5
+
+
+def plan_state(plan):
+    """Everything a plan holds, as plain values."""
+    return (plan.atoms, repr(plan.keys), repr(plan.consts), repr(plan.repeats),
+            repr(plan.slots))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(match_atom_strategy, max_size=4),
+       st.lists(st.tuples(st.lists(st.sampled_from(MATCH_TARGETS), max_size=18),
+                          st.dictionaries(st.sampled_from([x, y, z]),
+                                          st.sampled_from([x, a, b]), max_size=2)),
+                min_size=2, max_size=4))
+def test_one_plan_serves_every_target_and_binding_in_turn(src, runs):
+    plan = MatchPlan(src)
+    before = plan_state(plan)
+    for target, binding in runs:
+        expected = [list(h.items()) for h in reference_homomorphisms(src, set(target), binding)]
+        assert [list(h.items()) for h in homomorphisms(plan, AtomIndex(target), binding)] == expected
+        assert plan_state(plan) == before
+
+
+def test_a_cached_plan_stays_out_of_equality_and_hash():
+    q1 = cq(atom("p", x, y), atom("q", y, a), answer_vars=(x,))
+    q2 = cq(atom("p", x, y), atom("q", y, a), answer_vars=(x,))
+    expected = hash(q2)
+    assert q1.plan is q1.plan
+    assert "plan" in vars(q1) and "plan" not in vars(q2)
+    assert q1 == q2 and hash(q1) == hash(q2) == expected
+
+
+def unbuilt(q):
+    """An equal query with none of its views computed yet."""
+    return ConjunctiveQuery(q.atoms, q.answer_vars)
+
+
+@settings(max_examples=150, deadline=None)
+@given(answer_query_strategy, answer_query_strategy)
+def test_more_general_and_core_do_not_depend_on_an_earlier_plan(q1, q2):
+    a2 = attach_answer_atom(q2)
+    for q in (attach_answer_atom(q1), q1):  # core fixes q1's answer variables
+        cold = more_general(unbuilt(q), unbuilt(a2)), core(unbuilt(q))
+        warm = unbuilt(q)
+        before = plan_state(warm.plan)
+        for _ in range(2):  # the plan built beforehand, then the one the first call used
+            assert (more_general(warm, a2), core(warm)) == cold
+            assert plan_state(warm.plan) == before
