@@ -8,8 +8,8 @@ Each checkout is a directory holding ``src/`` and ``bench/`` (a ``git
 archive`` of the commit).  For every seed and workload the two sides run
 ``bench/run.py --trace 0`` back to back, one run at a time, and the side that
 goes first alternates from seed to seed.  Then each side makes one ``--trace 1``
-run (``--trace-seed``), and ``bench/compare.py`` of the change checkout
-compares the two sides' result files.  The output holds every run's
+run per workload at seed ``TRACE_SEED``, and ``bench/compare.py`` of the change
+checkout compares the two sides' result files.  The output holds every run's
 end-to-end metrics, both traced runs' per-layer metrics and the compare rows
 with its exit status.
 """
@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import subprocess
 import sys
 import tempfile
@@ -26,6 +24,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 WORKLOADS = ("ontology", "diamond", "random-linear")
+TRACE_SEED = 1
 
 
 def result_name(workload: str, seed: int, trace: int) -> str:
@@ -82,10 +81,10 @@ def assemble(records: dict[str, list[dict]], status: int, rows: list[str],
     out = {
         "description": description,
         "command": f"python3 bench/run.py --workload W --seed N --seconds {seconds:g} --trace T",
-        "python": untraced[0]["python"] if untraced else platform.python_version(),
-        "cpus": untraced[0]["cpus"] if untraced else os.cpu_count(),
+        "python": untraced[0]["python"],
+        "cpus": untraced[0]["cpus"],
         "seeds_trace0": sorted({r["seed"] for r in untraced}),
-        "seed_trace1": traced[0]["seed"] if traced else None,
+        "seed_trace1": traced[0]["seed"],
         "runs": {},
         "traced": {},
     }
@@ -109,8 +108,6 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", type=int, nargs="+", required=True,
                    help="workload seeds of the --trace 0 pairs")
     p.add_argument("--seconds", type=float, required=True, help="bench/run.py --seconds")
-    p.add_argument("--trace-seed", type=int, default=1, help="seed of the one traced run")
-    p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     p.add_argument("--description", required=True)
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
@@ -118,15 +115,15 @@ def main(argv=None) -> int:
     records: dict[str, list[dict]] = {name: [] for name in SIDES}
     for n, seed in enumerate(args.seeds):
         order = SIDES if n % 2 == 0 else SIDES[::-1]
-        for workload in args.workloads:
+        for workload in WORKLOADS:
             for name in order:
                 rec = run_bench(checkouts[name], workload, seed, args.seconds, 0)
                 records[name].append(rec)
                 print(f"{workload} seed {seed} {name}: wall_s "
                       f"{rec['result']['metrics']['wall_s']['value']:.5g}", flush=True)
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         for name in SIDES:
-            records[name].append(run_bench(checkouts[name], workload, args.trace_seed,
+            records[name].append(run_bench(checkouts[name], workload, TRACE_SEED,
                                            args.seconds, 1))
     status, rows = compare(checkouts["change"] / "bench" / "compare.py", records)
     out = assemble(records, status, rows, args.description, args.seconds)

@@ -80,8 +80,10 @@ def _freeze_atoms(atoms: Iterable[Atom], state: ChaseState) -> frozenset[Atom]:
 
 def _compile(rules: Iterable[ExistentialRule]) -> list[tuple]:
     """Each rule as (its body's match plan, in sorted order, its sorted
-    existentials, its head): what every round reads of it."""
-    return [(MatchPlan(sorted(r.body)), sorted(r.existentials), r.head) for r in rules]
+    existentials, its head, its head's match plan): what every round reads
+    of it."""
+    return [(MatchPlan(sorted(r.body)), sorted(r.existentials), r.head,
+             MatchPlan(sorted(r.head))) for r in rules]
 
 
 def _apply_round(state: ChaseState, rules: list[tuple], rank: int) -> bool:
@@ -98,19 +100,19 @@ def _apply_round(state: ChaseState, rules: list[tuple], rank: int) -> bool:
     """
     added = False
     delta = state.layers[rank - 1]
-    snapshot = state.index.snapshot() if any(len(p.atoms) != 1 for p, _, _ in rules) else None
-    for body, existentials, head in rules:
+    snapshot = state.index.snapshot() if any(len(body.atoms) != 1 for body, *_ in rules) else None
+    for body, existentials, head, head_plan in rules:
         if len(body.atoms) == 1:
             triggers = homomorphisms(body, delta)
         else:
             triggers = (h for h in homomorphisms(body, snapshot) if max(
                 (state.rank[apply_to_atom(h, a)] for a in body.atoms), default=0) >= rank - 1)
         for h in triggers:
-            trigger = sorted(apply_to_atom(h, a) for a in head)
             # restricted check: skip if the head is already satisfied by an
-            # extension of the trigger (existentials still variables there)
-            if find_homomorphism(trigger, state.index) is not None:
+            # extension of the trigger (h binds the frontier, existentials free)
+            if find_homomorphism(head_plan, state.index, h) is not None:
                 continue
+            trigger = sorted(apply_to_atom(h, a) for a in head)
             ex_map = {e: state.fresh_null() for e in existentials}
             for a in trigger:
                 added |= state.add(apply_to_atom(ex_map, a), rank)

@@ -39,19 +39,18 @@ def test_main_alternates_the_first_side_and_writes_the_record(tmp_path, monkeypa
     out = tmp_path / "BENCH.json"
     status = bench_pairs.main([
         "--parent", str(tmp_path / "p"), "--change", str(ROOT), "--seeds", *map(str, range(1, 11)),
-        "--seconds", "30", "--workloads", "diamond", "ontology", "--description", "canned",
-        "--out", str(out)])
+        "--seconds", "30", "--description", "canned", "--out", str(out)])
     assert status == 0
     untraced = [c for c in calls if not c[2]]
-    assert [c[3] for c in untraced[:8]] == ["parent", "change"] * 2 + ["change", "parent"] * 2
-    assert [c for c in calls if c[2]] == [("diamond", 1, 1, "parent"), ("diamond", 1, 1, "change"),
-                                          ("ontology", 1, 1, "parent"), ("ontology", 1, 1, "change")]
+    assert [c[3] for c in untraced[:12]] == ["parent", "change"] * 3 + ["change", "parent"] * 3
+    assert [c for c in calls if c[2]] == [(w, 1, 1, side) for w in bench_pairs.WORKLOADS
+                                          for side in ("parent", "change")]
     got = json.loads(out.read_text())
     assert got["description"] == "canned"
     assert got["command"] == "python3 bench/run.py --workload W --seed N --seconds 30 --trace T"
     assert (got["python"], got["cpus"], got["seed_trace1"]) == ("3.11.7", 2, 1)
     assert got["seeds_trace0"] == list(range(1, 11))
-    assert set(got["runs"]) == set(got["traced"]) == {"diamond", "ontology"}
+    assert set(got["runs"]) == set(got["traced"]) == set(bench_pairs.WORKLOADS)
     runs = got["runs"]["diamond"]["change"]
     assert [r["seed"] for r in runs] == list(range(1, 11))
     assert runs[0] == {"seed": 1, "passes": 5, "attempted": 40, "failed": 0,
@@ -68,11 +67,12 @@ def test_main_alternates_the_first_side_and_writes_the_record(tmp_path, monkeypa
 
 
 def test_a_worse_row_is_kept_with_compare_s_exit_status():
-    records = {"parent": [record("diamond", s, 0, 0.1) for s in (1, 2, 3)],
-               "change": [record("diamond", s, 0, 0.2) for s in (1, 2, 3)]}
+    records = {side: [record("diamond", s, 0, wall) for s in (1, 2, 3)]
+               + [record("diamond", 1, 1, wall)]
+               for side, wall in (("parent", 0.1), ("change", 0.2))}
     status, rows = bench_pairs.compare(ROOT / "bench" / "compare.py", records)
     assert status == 1
     assert any(row.split()[:2] == ["diamond", "wall_s"] and row.endswith("WORSE") for row in rows)
     got = bench_pairs.assemble(records, status, rows, "worse", 5)
     assert got["compare"]["exit_status"] == 1
-    assert got["traced"] == {} and got["seed_trace1"] is None
+    assert got["seed_trace1"] == 1 and set(got["traced"]["diamond"]) == {"parent", "change"}
