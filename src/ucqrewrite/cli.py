@@ -16,7 +16,7 @@ from typing import Optional
 
 from .chase import verify_rewriting_set
 from .dlgp import DlgpError, parse_document, printed_cover, serialize
-from .kb import FreshCounter, attach_answer_atom, decompose_atomic_head
+from .kb import attach_answer_atom
 from .rewriting import Limits, OPERATOR_KINDS, make_operator, rewrite
 
 
@@ -38,8 +38,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     defaults = Limits()
     p.add_argument("--rules", required=True, help="dlgp file with the rule base")
     p.add_argument("--query", required=True, help="dlgp file with the query")
-    p.add_argument("--no-decompose", action="store_true",
-                   help="keep non-atomic heads (full-piece operator only)")
     p.add_argument("--max-depth", type=_non_negative(int))
     p.add_argument("--max-generated", type=_non_negative(int), default=defaults.max_generated)
     p.add_argument("--timeout", type=_non_negative(float), default=defaults.timeout)
@@ -55,26 +53,15 @@ def _operators(text: str) -> list[str]:
     return operators
 
 
-def _load(args, operators: list[str]):
-    """The rules, decomposed unless --no-decompose, and the query; operators
-    are the ones the run uses, which --no-decompose restricts."""
+def _load(args):
+    """The rules, as parsed, and the query."""
     with open(args.rules, encoding="utf-8") as fh:
         rules_doc = parse_document(fh.read())
     with open(args.query, encoding="utf-8") as fh:
         query_doc = parse_document(fh.read())
     if not query_doc.queries:
         raise DlgpError("query file contains no query statement")
-    query = query_doc.queries[0]
-    rules = list(rules_doc.rules)
-    counter = FreshCounter()
-    if not args.no_decompose:
-        rules = [d for r in rules for d in decompose_atomic_head(r, counter)]
-    elif (any(o != "full-piece" for o in operators)
-          and any(not r.has_atomic_head for r in rules)):
-        raise DlgpError(
-            "non-atomic heads require the full-piece operator when --no-decompose is set"
-        )
-    return rules, query
+    return list(rules_doc.rules), query_doc.queries[0]
 
 
 def _run(args, rules, query, operator: str):
@@ -85,14 +72,14 @@ def _run(args, rules, query, operator: str):
 
 
 def cmd_rewrite(args) -> int:
-    rules, query = _load(args, [args.operator])
+    rules, query = _load(args)
     result = _run(args, rules, query, args.operator)
     sys.stdout.write(serialize(result, "json" if args.json else "dlgp"))
     return 0 if result.terminated else 2
 
 
 def cmd_verify(args) -> int:
-    rules, query = _load(args, [args.operator])
+    rules, query = _load(args)
     result = _run(args, rules, query, args.operator)
     extra = None
     if args.facts:
@@ -108,7 +95,7 @@ def cmd_verify(args) -> int:
 
 def cmd_compare(args) -> int:
     operators = _operators(args.operators)
-    rules, query = _load(args, operators)
+    rules, query = _load(args)
     rows = []
     for o in operators:
         t0 = time.monotonic()

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .kb import (
-    AUX_PREFIX,
     Atom,
     ConjunctiveQuery,
     ExistentialRule,
@@ -267,18 +266,16 @@ def document_to_dlgp(doc: Document) -> str:
 
 def printed_cover(result) -> list[str]:
     """A RewritingResult's cover as printed: sorted query statements, with
-    queries over internal aux predicates left out (they cannot match user
-    fact bases) and the answer atom turned back into the answer terms."""
-    return sorted(query_to_dlgp(strip_answer_atom(q)) for q in result.cover
-                  if not any(a.predicate.startswith(AUX_PREFIX) for a in q.atoms))
+    the answer atom turned back into the answer terms."""
+    return sorted(query_to_dlgp(strip_answer_atom(q)) for q in result.cover)
 
 
 def serialize(obj, format: str = "dlgp") -> str:
     """Serialize a Document or a RewritingResult as dlgp or json text.
 
-    A RewritingResult is printed as ``ucqrewrite rewrite`` prints it: queries
-    over internal aux predicates are left out, the answer atom becomes the
-    answer terms, and stats.output counts the printed queries.
+    A RewritingResult is printed as ``ucqrewrite rewrite`` prints it: the
+    answer atom becomes the answer terms, and stats.output counts the
+    printed queries.
     """
     if format not in ("dlgp", "json"):
         raise ValueError(f"unknown format {format!r}")

@@ -353,7 +353,9 @@ def freshen_rule(r: ExistentialRule, counter: FreshCounter) -> ExistentialRule:
 def decompose_atomic_head(r: ExistentialRule, counter: FreshCounter) -> list[ExistentialRule]:
     """Split a multi-atom-head rule into atomic-head rules via an aux predicate.
 
-    The aux predicate takes the next index of counter, so rules that share a
+    The rewriter unifies multi-atom heads as written and never calls this;
+    it stays as the standard reduction (Calì, Gottlob and Kifer, KR 2008)
+    that tests compare the rewriter against.  The aux predicate takes the next index of counter, so rules that share a
     label, as DLGP allows, do not share it.
     """
     if len(r.head) <= 1:

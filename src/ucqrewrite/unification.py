@@ -1,6 +1,5 @@
-"""Piece-unifiers: pieces, validity, the single-piece algorithm for
-atomic-head rules, aggregation of compatible unifiers, and an exhaustive
-oracle for general heads."""
+"""Piece-unifiers: pieces, validity, the single-piece algorithm for rules
+with any head, aggregation of compatible unifiers, and an exhaustive oracle."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -37,6 +36,8 @@ class PieceUnifier:
     h_part: frozenset[Atom]
     partition: TermPartition
     rule: ExistentialRule
+    # the (query atom, head position) pairs, when built by a RuleCopy
+    choice: tuple = field(default=(), init=False, repr=False)
     _substitution: Optional[Substitution] = field(default=None, init=False, repr=False)
 
     def substitution(self) -> Substitution:
@@ -160,21 +161,38 @@ def _sticky(pp: TermPartition, sep: AbstractSet[Term], rule: ExistentialRule) ->
 
 
 class RuleCopy:
-    """A rule renamed apart by ``kb.freshen_rule``, with the positionwise
-    partition of its head and each piece it has been tried on."""
+    """A rule renamed apart by ``kb.freshen_rule``, with its sorted head, the
+    positions of its head atoms by (predicate, arity), and the candidate
+    unifier of each choice it has been tried on.
+
+    A choice is a tuple of (query atom, head position) pairs, in the order
+    the atoms joined the piece; a renamed copy sorts its head alike, so every
+    copy of a rule reads a choice alike."""
 
     def __init__(self, rule: ExistentialRule):
         self.rule = rule
-        self._partitions: dict[frozenset[Atom], Optional[TermPartition]] = {}
+        self.head = sorted(rule.head)
+        self.positions: dict[tuple[str, int], list[int]] = {}
+        for j, h in enumerate(self.head):
+            self.positions.setdefault((h.predicate, h.arity), []).append(j)
+        self._unifiers: dict[tuple, Optional[PieceUnifier]] = {}
 
-    def partition(self, piece: frozenset[Atom]) -> Optional[TermPartition]:
-        """The positionwise partition of piece + head; None when it is not unifiable."""
+    def unifier(self, choice: tuple) -> Optional[PieceUnifier]:
+        """The choice's atoms unified position by position; None when the
+        partition is not unifiable.  Whether its q_part is a piece of a
+        query is the caller's to decide."""
         try:
-            return self._partitions[piece]
+            return self._unifiers[choice]
         except KeyError:
-            pp = partition_by_position(sorted(piece) + [self.rule.head_atom])
-            self._partitions[piece] = pp = pp if _unifiable(pp, self.rule) else None
-            return pp
+            head = self.head
+            pp = TermPartition(st for a, j in choice for st in zip(a.args, head[j].args))
+            mu = None
+            if _unifiable(pp, self.rule):
+                mu = PieceUnifier(frozenset(a for a, _ in choice),
+                                  frozenset(head[j] for _, j in choice), pp, self.rule)
+                mu.choice = choice
+            self._unifiers[choice] = mu
+            return mu
 
 
 class CompiledRule:
@@ -224,38 +242,49 @@ class RuleBase:
 def single_piece_unifiers(
     q: ConjunctiveQuery, rule: Union[ExistentialRule, RuleCopy]
 ) -> list[PieceUnifier]:
-    """All most general single-piece unifiers of q with an atomic-head rule.
+    """All most general single-piece unifiers of q with the rule.
 
-    Grows a candidate piece by sticky-variable closure; accepted pieces are
-    removed from the pool, a failed seed alone is removed.  The rule is
-    assumed variable-disjoint from q.  A plain rule gets a RuleCopy of its
-    own; a RuleCopy's partitions are reused across calls.
+    Grows candidate pieces from each seed, in atom order, by sticky-variable
+    closure; each query atom that joins a piece picks a head atom of its
+    (predicate, arity), and the search branches over the picks.  A seed is
+    left out of later pieces; with a one-atom head, so is an accepted piece,
+    as no other piece can share its atoms.  The rule is assumed
+    variable-disjoint from q.  A plain rule gets a RuleCopy of its own; a
+    RuleCopy's unifiers are reused across calls.
     """
     copy = rule if isinstance(rule, RuleCopy) else RuleCopy(rule)
     rule = copy.rule
-    if not rule.has_atomic_head:
-        raise ValueError("single_piece_unifiers requires an atomic-head rule")
-    head = rule.head_atom
-    pool = set(q.index.buckets.get((head.predicate, head.arity), ()))
+    positions = copy.positions
+    buckets = q.index.buckets
+    pool = set()
+    for key in positions:
+        pool.update(buckets.get(key, ()))
+    atomic = len(copy.head) == 1
     out = []
     while pool:
         seed = min(pool)
-        piece = {seed}
-        while piece <= pool:
-            part = frozenset(piece)
-            pp = copy.partition(part)
-            if pp is None:
-                break
+        todo = [((seed, 0),)] if atomic else [
+            ((seed, j),) for j in positions[seed.predicate, seed.arity]]
+        while todo:
+            mu = copy.unifier(todo.pop())
+            if mu is None:
+                continue
+            part = mu.q_part
             # only a class with an existential variable has sticky variables
-            sticky = _sticky(pp, _separating(q, part), rule) if rule.existentials else ()
+            sticky = _sticky(mu.partition, _separating(q, part), rule) if rule.existentials else ()
             if not sticky:
-                out.append(PieceUnifier(part, rule.head, pp, rule))
-                pool -= piece
-                break
-            for v in sticky:
-                piece |= q.occurrences[v]
+                out.append(mu)
+                if atomic:
+                    pool -= part
+                continue
+            # a sticky variable is separating, so it reaches an atom outside part
+            grown = sorted({a for v in sticky for a in q.occurrences[v]} - part)
+            if pool.issuperset(grown):
+                for picks in product(*(positions[a.predicate, a.arity] for a in grown)):
+                    todo.append(mu.choice + tuple(zip(grown, picks)))
         pool.discard(seed)  # already gone if its piece was accepted
-    return out
+    # a piece that several choices reach keeps its finest partitions
+    return out if atomic else _finest(out)
 
 
 def aggregate_rules(rules: list[ExistentialRule]) -> ExistentialRule:
@@ -314,23 +343,21 @@ def enumerate_aggregated(
     """Every compatible aggregation of single-piece unifiers, depth first.
 
     The pieces are searched once, on copy 0; a renamed copy has the same.
-    Member slot k is its piece over copy k, with copy k's memoized partition,
-    so the members are pairwise variable-disjoint; copy k is built when a
+    Member slot k is its unifier's choice over copy k, memoized there, so
+    the members are pairwise variable-disjoint; copy k is built when a
     (k+1)-member candidate is first tried.  An aggregation of m members uses
     the aggregated rule over copies 0..m-1.  A plain rule is compiled here.
     Each subset of the pieces is built once.
     """
     compiled = rule if isinstance(rule, CompiledRule) else CompiledRule(rule)
-    parts = sorted((m.q_part for m in single_piece_unifiers(q, compiled.copy(0))), key=min)
+    base = sorted(single_piece_unifiers(q, compiled.copy(0)), key=lambda m: min(m.q_part))
     out: list[AggregatedUnifier] = []
 
     def extend(members: list[PieceUnifier], start: int) -> None:
         # a failed aggregate stays failed under more members: parts overlap
         # or the joined partition only merges more classes
-        for j in range(start, len(parts)):
-            c = compiled.copy(len(members))
-            p = parts[j]
-            cand = members + [PieceUnifier(p, c.rule.head, c.partition(p), c.rule)]
+        for j in range(start, len(base)):
+            cand = members + [compiled.copy(len(members)).unifier(base[j].choice)]
             agg = aggregate(cand, compiled.aggregated(len(cand)))
             if agg is not None:
                 out.append(agg)
@@ -340,33 +367,11 @@ def enumerate_aggregated(
     return out
 
 
-def _emit_minimal(
-    q: ConjunctiveQuery,
-    q_part: frozenset[Atom],
-    h_part: frozenset[Atom],
-    rule: ExistentialRule,
-    partitions: list[TermPartition],
-) -> list[PieceUnifier]:
-    valid = []
-    seen = set()
-    for p in partitions:
-        key = p.as_sets()
-        if key in seen:
-            continue
-        seen.add(key)
-        mu = PieceUnifier(q_part, h_part, p, rule)
-        if not validate_piece_unifier(q, mu):
-            valid.append(mu)
-    # keep partition-minimal (finest) unifiers only
-    out = []
-    for mu in valid:
-        if not any(
-            other is not mu and finer_than(other.partition, mu.partition)
-            and other.partition != mu.partition
-            for other in valid
-        ):
-            out.append(mu)
-    return out
+def _finest(mus: list[PieceUnifier]) -> list[PieceUnifier]:
+    """For each (q_part, h_part), the first unifier of each finest partition."""
+    return [mu for i, mu in enumerate(mus) if not any(
+        o.q_part == mu.q_part and o.h_part == mu.h_part and finer_than(o.partition, mu.partition)
+        and (k < i or o.partition != mu.partition) for k, o in enumerate(mus) if k != i)]
 
 
 # size caps of the exhaustive enumeration
@@ -406,5 +411,6 @@ def general_piece_unifiers(q: ConjunctiveQuery, rule: ExistentialRule) -> list[P
                     pairs = list(zip(q_sel, f)) + [(qa, ha) for ha, qa in zip(h_sel, g)]
                     partitions.append(TermPartition(
                         st for qa, ha in pairs for st in zip(qa.args, ha.args)))
-            out.extend(_emit_minimal(q, q_part, h_part, rule, partitions))
+            mus = (PieceUnifier(q_part, h_part, p, rule) for p in partitions)
+            out.extend(_finest([mu for mu in mus if not validate_piece_unifier(q, mu)]))
     return out

@@ -113,3 +113,37 @@ def random_facts(
         p = rng.choice(names)
         atoms.add(Atom(p, tuple(rng.choice(consts) for _ in range(arity[p]))))
     return frozenset(atoms)
+
+
+def random_multi_head_instance(rng: random.Random) -> tuple[list[ExistentialRule], ConjunctiveQuery]:
+    """1-3 rules with 1-2 joined body atoms and 1-2 head atoms (two in the
+    first rule) with existentials and constants, labels drawn from a few so
+    that some repeat, and a 1-4 atom query with 0-1 answer variables."""
+    arity = {"a": 1, "b": 2, "p": 2, "s": 1, "t": 2}
+    c = const("c")
+    rules = []
+    for i in range(rng.randint(1, 3)):
+        xs = [var(f"X{j}") for j in range(3)]
+        first = rng.choice("abpst")
+        body = [Atom(first, tuple(rng.choice(xs[:2]) for _ in range(arity[first])))]
+        if rng.random() < 0.5:  # a second atom joined to the first on one of its variables
+            second = rng.choice("abpst")
+            args = [rng.choice(xs) if rng.random() < 0.8 else c for _ in range(arity[second])]
+            args[0] = rng.choice(body[0].args)
+            body.append(Atom(second, tuple(args)))
+        frontier = sorted({t for a in body for t in a.args})
+        terms = frontier + [var("Y0"), var("Y1"), c]
+        weights = [2] * len(frontier) + [2, 1, 1]
+        head = set()
+        while len(head) < (2 if i == 0 else rng.randint(1, 2)):
+            p = rng.choice("pst")
+            head.add(Atom(p, tuple(rng.choices(terms, weights)[0] for _ in range(arity[p]))))
+        rules.append(rule(rng.choice(["r", "r", f"r{i}"]), body, head))
+    pool = [var(f"U{j}") for j in range(4)] + [c]
+    atoms = set()
+    for _ in range(rng.randint(1, 4)):
+        p = rng.choice("psstt")
+        atoms.add(Atom(p, tuple(rng.choices(pool, [3, 3, 3, 3, 1])[0] for _ in range(arity[p]))))
+    variables = sorted({t for a in atoms for t in a.args if t.is_variable})
+    answer = tuple(rng.sample(variables, 1)) if variables and rng.random() < 0.4 else ()
+    return rules, ConjunctiveQuery(frozenset(atoms), answer)

@@ -152,7 +152,7 @@ def test_rules_that_share_a_label_do_not_share_an_aux_predicate(capsys, tmp_path
     code, out, _ = run(capsys, "rewrite", "--rules", rules, "--query", query)
     assert code == 0
     code, oracle, _ = run(capsys, "rewrite", "--rules", rules, "--query", query,
-                          "--no-decompose", "--operator", "full-piece")
+                          "--operator", "full-piece")
     assert out == oracle == "? :- p(X0,X1), t(X1).\n"
     counter = FreshCounter()
     decomposed = [d for r in parse_document(open(rules).read()).rules
@@ -173,38 +173,12 @@ def test_compare_output_counts_the_printed_queries(capsys, tmp_path):
     assert [row["output"] for row in json.loads(out)] == [printed, printed] == [2, 2]
 
 
-def test_no_decompose_requires_full_piece(capsys, tmp_path):
-    rules = write(tmp_path, "m.dlgp", "[r1] p(X,Y), s(Y) :- q(X).\n")
-    query = write(tmp_path, "q.dlgp", "? :- p(U,V), s(V).\n")
-    code, _, err = run(capsys, "rewrite", "--rules", rules, "--query", query,
-                       "--no-decompose")
-    assert code == 1
-    code, out, _ = run(capsys, "rewrite", "--rules", rules, "--query", query,
-                       "--no-decompose", "--operator", "full-piece")
-    assert code == 0
-    assert "q(X0)" in out
-
-
-def test_compare_no_decompose_checks_the_compared_operators(capsys, tmp_path):
-    rules = write(tmp_path, "m.dlgp", "[r1] p(X,Y), s(Y) :- q(X).\n")
-    query = write(tmp_path, "q.dlgp", "? :- p(U,V), s(V).\n")
-    code, out, _ = run(capsys, "compare", "--rules", rules, "--query", query,
-                       "--no-decompose", "--operators", "full-piece", "--json")
-    assert code == 0
-    assert [r["operator"] for r in json.loads(out)] == ["full-piece"]
-    code, _, err = run(capsys, "compare", "--rules", rules, "--query", query,
-                       "--no-decompose", "--operators", "full-piece,aggregated")
-    assert code == 1 and "full-piece" in err
-
-
 def test_rewrite_prints_what_serialize_returns(capsys, tmp_path):
     rules = write(tmp_path, "m.dlgp", "[r1] p(X,Y), s(Y) :- q(X).\n")
     query = write(tmp_path, "q.dlgp", "?(U) :- p(U,V), s(V).\n")
-    counter = FreshCounter()
-    decomposed = [d for r in parse_document(open(rules).read()).rules
-                  for d in decompose_atomic_head(r, counter)]
+    rules_as_written = parse_document(open(rules).read()).rules
     q = parse_document(open(query).read()).queries[0]
-    res = rewrite(attach_answer_atom(q), decomposed, make_operator("aggregated"), Limits())
+    res = rewrite(attach_answer_atom(q), rules_as_written, make_operator("aggregated"), Limits())
     for fmt, flags in (("dlgp", ()), ("json", ("--json",))):
         code, out, _ = run(capsys, "rewrite", "--rules", rules, "--query", query, *flags)
         assert code == 0
@@ -236,8 +210,38 @@ def test_verify_names_rewritings_as_rewrite_prints_them(capsys, tmp_path):
                        "--samples", "5")
     assert code == 0
     names = [e["query"] for e in json.loads(out)["rewritings"]]
-    assert any("__aux" in n for n in names)
-    assert sorted(n for n in names if "__aux" not in n) == printed
+    assert sorted(names) == printed
+
+
+def test_verify_chases_the_rules_as_parsed(capsys, monkeypatch, tmp_path):
+    rules = write(tmp_path, "m.dlgp", "[r1] p(X,Y), s(Y) :- q(X).\n")
+    query = write(tmp_path, "q.dlgp", "? :- p(U,V), s(V).\n")
+    chased = []
+    check = ucqrewrite.cli.verify_rewriting_set
+
+    def capture(q, rules, *args, **kwargs):
+        chased.extend(rules)
+        return check(q, rules, *args, **kwargs)
+
+    monkeypatch.setattr(ucqrewrite.cli, "verify_rewriting_set", capture)
+    code, _, _ = run(capsys, "verify", "--rules", rules, "--query", query, "--samples", "5")
+    assert code == 0
+    assert any(len(r.head) == 2 for r in chased)
+    assert not any(a.predicate.startswith("__aux_") for r in chased for a in r.head | r.body)
+
+
+def test_the_oracle_refuses_a_five_atom_head(capsys, tmp_path):
+    rules = write(tmp_path, "m.dlgp", "[r1] p(X,Y), s(Y), t(Y), u(Y), w(Y) :- q(X).\n")
+    query = write(tmp_path, "q.dlgp", "? :- p(U,V), s(V).\n")
+    code, out, err = run(capsys, "rewrite", "--rules", rules, "--query", query,
+                         "--operator", "full-piece")
+    assert (code, out) == (1, "")
+    assert "size caps" in err
+    code, out, _ = run(capsys, "compare", "--rules", rules, "--query", query,
+                       "--operators", "aggregated,full-piece", "--json")
+    assert code == 0
+    aggregated, oracle = json.loads(out)
+    assert aggregated["output"] == 2 and "size caps" in oracle["refused"]
 
 
 def test_compare_table_and_exit(capsys):

@@ -26,10 +26,17 @@ from ucqrewrite import (
     var,
 )
 from ucqrewrite.dlgp import printed_cover
-from ucqrewrite.kb import ANS_PREDICATE, FreshCounter, attach_answer_atom, freshen_rule
+from ucqrewrite.kb import (
+    ANS_PREDICATE,
+    AUX_PREFIX,
+    FreshCounter,
+    attach_answer_atom,
+    decompose_atomic_head,
+    freshen_rule,
+)
 from ucqrewrite.homomorphism import cover
 from ucqrewrite.rewriting import OPERATOR_KINDS, InvariantViolation, beta
-from conftest import DATA, random_linear_rules, random_query
+from conftest import DATA, random_linear_rules, random_multi_head_instance, random_query
 
 x, y, z, t, u, v, w = (var(n) for n in "xyztuvw")
 
@@ -290,6 +297,37 @@ def test_full_and_aggregated_equivalent_covers_on_random_instances():
         for qa in ra.cover:
             assert any(equivalent(qa, qf) for qf in rf.cover)
     assert checked >= 5
+
+
+def test_multi_atom_heads_as_written_agree_with_the_oracle_and_decomposition():
+    # the cover of the rules as written equals full-piece's and, without its
+    # aux queries, that of the heads split by decompose_atomic_head
+    rng = random.Random(18)
+    limits = Limits(max_generated=300, max_depth=10, timeout=None)
+    terminated = skipped = 0
+    for _ in range(150):
+        rules, q = random_multi_head_instance(rng)
+        counter = FreshCounter()
+        decomposed = [d for r in rules for d in decompose_atomic_head(r, counter)]
+        runs = []
+        for kind, rs in (("aggregated", rules), ("aggregated", decomposed), ("full-piece", rules)):
+            try:
+                res = rewrite(q, rs, make_operator(kind), limits)
+            except ValueError:  # a query beyond the oracle's size caps
+                break
+            if not res.terminated:
+                break
+            runs.append(res)
+        if len(runs) < 3:
+            skipped += 1
+            continue
+        terminated += 1
+        written, split, oracle = (list(res.cover) for res in runs)
+        split = [c for c in split if not any(a.predicate.startswith(AUX_PREFIX) for a in c.atoms)]
+        assert len(written) == len(oracle) == len(split)
+        for other in (oracle, split):
+            assert all(any(equivalent(c, d) for d in other) for c in written)
+    assert terminated >= 0.9 * (terminated + skipped)
 
 
 @pytest.mark.parametrize("kind", OPERATOR_KINDS)

@@ -1,4 +1,4 @@
-"""Piece-unifiers: validity conditions, pieces, the atomic-head algorithm,
+"""Piece-unifiers: validity conditions, pieces, the single-piece algorithm,
 aggregation, and agreement with the exhaustive enumeration."""
 import random
 
@@ -357,6 +357,49 @@ def test_single_piece_results_are_valid_and_agree_with_oracle():
             cut = PieceUnifier(qp, hp, TermPartition(part), r).cutpoints()
             if len(pieces(qp, cut)) == 1:
                 assert (qp, hp, part) in unifier_set(sp)
+
+
+def _at_least_as_general(p1, p2):
+    """Every two terms of p2's carrier that p1 merges, p2 merges too."""
+    carrier = p2.carrier
+    return all(len({p2.class_of(t) for t in c & carrier}) <= 1 for c in p1.classes())
+
+
+def test_multi_atom_head_single_piece_unifiers_agree_with_oracle():
+    rng = random.Random(18)
+    arity = {"p": 2, "s": 1, "q": 2}
+    checked = 0
+    for _ in range(150):
+        xs, ys = [var("X0"), var("X1")], [var("Y0"), var("Y1")]
+        head = set()
+        while len(head) < rng.randint(2, 3):
+            p = rng.choice("pps")
+            head.add(atom(p, *(rng.choice(xs + ys + ys + [a]) for _ in range(arity[p]))))
+        r = freshen_rule(rule("r", [atom("q", *xs)], head), FreshCounter())
+        pool = [var(f"U{i}") for i in range(4)] + [a]
+        q = cq(*(atom(p, *(rng.choice(pool) for _ in range(arity[p])))
+                 for p in (rng.choice("pps") for _ in range(rng.randint(1, 4)))))
+        sp = single_piece_unifiers(q, r)
+        oracle = general_piece_unifiers(q, r)
+        for mu in sp:
+            assert validate_piece_unifier(q, mu) == []
+        assert unifier_set(sp) <= unifier_set(oracle)
+        # the oracle also lists coarser unifiers that map one query atom onto
+        # two head atoms: a result with the same q_part is at least as general
+        for o in oracle:
+            if len(pieces(o.q_part, o.cutpoints())) == 1:
+                checked += 1
+                assert any(mu.q_part == o.q_part and _at_least_as_general(mu.partition, o.partition)
+                           for mu in sp)
+    assert checked >= 200
+    # the valid unifier of test_multi_atom_head_unifier_validity is found
+    r = rule("r", [atom("q", x)],
+             [atom("p", x, y), atom("p", y, z), atom("p", z, t), atom("r", y)])
+    q = cq(atom("p", u, v), atom("p", v, w), atom("r", u))
+    good = (frozenset({atom("p", u, v), atom("p", v, w)}),
+            frozenset({atom("p", x, y), atom("p", y, z)}),
+            frozenset({frozenset({u, x}), frozenset({v, y}), frozenset({w, z})}))
+    assert good in unifier_set(single_piece_unifiers(q, r))
 
 
 def test_oracle_refuses_oversized_input():
