@@ -4,14 +4,16 @@ write the before/after record (a ``BENCH_*.json`` file).
     python3 scripts/bench_pairs.py --parent DIR --change DIR \
         --seeds $(seq 1701 1710) --seconds 30 --description TEXT --out BENCH_N.json
 
-Each checkout is a directory holding ``src/`` and ``bench/`` (a ``git
-archive`` of the commit).  For every seed and workload the two sides run
-``bench/run.py --trace 0`` back to back, one run at a time, and the side that
-goes first alternates from seed to seed.  Then each side makes one ``--trace 1``
-run per workload at seed ``TRACE_SEED``, and ``bench/compare.py`` of the change
-checkout compares the two sides' result files.  The output holds every run's
-end-to-end metrics, both traced runs' per-layer metrics and the compare rows
-with its exit status.
+Each checkout is a directory holding ``BENCHMARK.json``, ``src/`` and
+``bench/`` (a ``git archive`` of the commit), with no ``__pycache__`` under
+``src/`` or ``bench/``; the script refuses any other before it runs anything.
+For every seed and workload the two sides run ``bench/run.py --trace 0`` back
+to back, one run at a time, and the side that goes first alternates from seed
+to seed.  Then each side makes one ``--trace 1`` run per workload at seed
+``TRACE_SEED``, and ``bench/compare.py`` of the change checkout compares the
+two sides' result files.  The output holds every run's end-to-end metrics,
+both traced runs' per-layer metrics and the compare rows with its exit status;
+a ``compare.py`` that exits 1 without a ``WORSE`` row crashed, and is raised.
 """
 from __future__ import annotations
 
@@ -30,6 +32,24 @@ TRACE_SEED = 1
 def result_name(workload: str, seed: int, trace: int) -> str:
     """The file ``bench/run.py`` writes under ``bench/results/``."""
     return f"{workload}-seed{seed}-trace{trace}.json"
+
+
+def check_checkout(checkout: Path) -> None:
+    """Refuse a checkout that the benchmark would not run as a clean archive.
+
+    ``bench/compare.py`` reads ``BENCHMARK.json`` from its checkout, and
+    crashes without it.  A ``__pycache__`` under ``src/`` or ``bench/`` lets a
+    pass load compiled bytecode that a clean archive compiles afresh when
+    ``PYTHONDONTWRITEBYTECODE`` is set: measured on one commit, ``setup_s``
+    read 0.016-0.020 s against 0.043-0.047 s and ``peak_rss_mb`` 18.6-18.8
+    against 19.7-19.8 MB.
+    """
+    if not (checkout / "BENCHMARK.json").is_file():
+        raise ValueError(f"{checkout}: no BENCHMARK.json")
+    caches = [c for d in ("src", "bench") for c in sorted((checkout / d).rglob("__pycache__"))]
+    if caches:
+        raise ValueError(f"{checkout}: holds {caches[0].relative_to(checkout)}; "
+                         "use a fresh git archive of the commit")
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -68,9 +88,12 @@ def compare(compare_py: Path, records: dict[str, list[dict]]) -> tuple[int, list
             dirs.append(str(d))
         proc = subprocess.run([sys.executable, str(compare_py), *dirs],
                               capture_output=True, text=True)
-    if proc.returncode not in (0, 1):  # 1 means a WORSE row, which the record keeps
+    rows = proc.stdout.splitlines()
+    # 1 means a WORSE row, which the record keeps; so does an uncaught exception
+    if proc.returncode not in (0, 1) or (
+            proc.returncode == 1 and not any(row.endswith("  WORSE") for row in rows)):
         raise RuntimeError(f"compare.py exited {proc.returncode}:\n{proc.stderr}")
-    return proc.returncode, proc.stdout.splitlines()
+    return proc.returncode, rows
 
 
 def assemble(records: dict[str, list[dict]], status: int, rows: list[str],
@@ -112,6 +135,8 @@ def main(argv=None) -> int:
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for checkout in checkouts.values():
+        check_checkout(checkout)
     records: dict[str, list[dict]] = {name: [] for name in SIDES}
     for n, seed in enumerate(args.seeds):
         order = SIDES if n % 2 == 0 else SIDES[::-1]

@@ -54,13 +54,16 @@ def _operators(text: str) -> list[str]:
 
 
 def _load(args):
-    """The rules, as parsed, and the query."""
+    """The rules, as parsed, and the query file's one query."""
     with open(args.rules, encoding="utf-8") as fh:
         rules_doc = parse_document(fh.read())
     with open(args.query, encoding="utf-8") as fh:
         query_doc = parse_document(fh.read())
     if not query_doc.queries:
         raise DlgpError("query file contains no query statement")
+    if len(query_doc.queries) > 1:
+        raise DlgpError(f"query file contains {len(query_doc.queries)} query statements; "
+                        "give one query per file")
     return list(rules_doc.rules), query_doc.queries[0]
 
 

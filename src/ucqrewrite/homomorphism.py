@@ -190,13 +190,13 @@ def cover(
     equivalence class an explored query is preferred, then the least sort key.
     """
     kept = list(explored)
-    fresh = sorted(fresh, key=ConjunctiveQuery.sort_key)
-
-    def ge(a: ConjunctiveQuery, b: ConjunctiveQuery) -> bool:
-        return a.signature <= b.signature and more_general(a, b)
-
-    for x in fresh:
-        if not any(ge(k, x) for k in kept):
-            kept = [k for k in kept if not ge(x, k)]
+    # a >= b needs a.signature <= b.signature, tested first and inline
+    for x in sorted(fresh, key=ConjunctiveQuery.sort_key):
+        sig = x.signature
+        for k in kept:
+            if k.signature <= sig and more_general(k, x):
+                break
+        else:
+            kept = [k for k in kept if not (sig <= k.signature and more_general(x, k))]
             kept.append(x)
     return set(kept)

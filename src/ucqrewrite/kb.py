@@ -206,7 +206,8 @@ class ConjunctiveQuery:
 
     answer_vars may contain constants after rewriting steps bind an answer
     position; variable entries must occur in the atom set.  The views index,
-    plan, occurrences, signature and sort_key are computed on first use and
+    plan, occurrences, signature, sort_key and the answer-atom form (see
+    attach_answer_atom) are computed on first use and
     kept in the instance __dict__, outside the fields, so equality and hashing
     never see them.
     """
@@ -248,6 +249,13 @@ class ConjunctiveQuery:
                 if t.is_variable:
                     out.setdefault(t, set()).add(a)
         return {t: frozenset(atoms) for t, atoms in out.items()}
+
+    @cached_property
+    def _answer_atom_form(self) -> "ConjunctiveQuery":
+        """attach_answer_atom's result for a non-Boolean query."""
+        if any(a.predicate == ANS_PREDICATE for a in self.atoms):
+            raise ValueError(f"{ANS_PREDICATE} atom already present")
+        return ConjunctiveQuery(self.atoms | {Atom(ANS_PREDICATE, self.answer_vars)}, ())
 
     @cached_property
     def signature(self) -> frozenset[tuple[str, int]]:
@@ -370,13 +378,10 @@ def decompose_atomic_head(r: ExistentialRule, counter: FreshCounter) -> list[Exi
 
 
 def attach_answer_atom(q: ConjunctiveQuery) -> ConjunctiveQuery:
-    """Fold answer variables into a reserved __ans atom, yielding a BCQ."""
-    if q.is_boolean:
-        return q
-    if any(a.predicate == ANS_PREDICATE for a in q.atoms):
-        raise ValueError(f"{ANS_PREDICATE} atom already present")
-    ans = Atom(ANS_PREDICATE, q.answer_vars)
-    return ConjunctiveQuery(q.atoms | {ans}, ())
+    """Fold answer variables into a reserved __ans atom, yielding a BCQ.
+
+    The BCQ is q's own, built once, so its index and plan are too."""
+    return q if q.is_boolean else q._answer_atom_form
 
 
 def strip_answer_atom(q: ConjunctiveQuery) -> ConjunctiveQuery:

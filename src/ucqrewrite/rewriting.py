@@ -28,7 +28,8 @@ def beta(q: ConjunctiveQuery, rule: ExistentialRule, mu: PieceUnifier) -> Conjun
     """One-step rewriting u(body) + u(q minus unified part), not canonicalized;
     rule must be mu.rule, which mu is validated against.  q's answer variables
     are folded into an answer atom first, so mu may not merge one with an
-    existential variable, and the rewriting keeps them."""
+    existential variable, and the rewriting keeps them.  u(body) and the
+    checks that do not read q are mu's, computed once."""
     if rule is not mu.rule and rule != mu.rule:
         raise ValueError(f"rule {rule.label!r} is not the unifier's rule {mu.rule.label!r}")
     q = attach_answer_atom(q)
@@ -36,8 +37,7 @@ def beta(q: ConjunctiveQuery, rule: ExistentialRule, mu: PieceUnifier) -> Conjun
     if problems:
         raise ValueError("invalid piece-unifier: " + "; ".join(problems))
     u = mu.substitution()
-    atoms = apply_to_atoms(u, rule.body) | apply_to_atoms(u, q.atoms - mu.q_part)
-    return ConjunctiveQuery(atoms, ())
+    return ConjunctiveQuery(mu.body_image() | apply_to_atoms(u, q.atoms - mu.q_part), ())
 
 
 Operator = Callable[[ConjunctiveQuery, Union[RuleBase, Iterable[ExistentialRule]]],

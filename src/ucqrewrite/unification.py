@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
-from typing import AbstractSet, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 from . import kb
 from .kb import (
@@ -30,7 +30,13 @@ from .partition import (
 
 @dataclass(eq=False)
 class PieceUnifier:
-    """Unifies a query subset with a rule-head subset through a term partition."""
+    """Unifies a query subset with a rule-head subset through a term partition.
+
+    What does not depend on the query is computed once, on first use: the
+    associated substitution, the variables that must be non-separating
+    (``ex_vars``), the validity checks that do not read the query
+    (``checks``) and u(rule.body) (``body_image``).  So the fields must not
+    change once it is in use."""
 
     q_part: frozenset[Atom]
     h_part: frozenset[Atom]
@@ -38,13 +44,63 @@ class PieceUnifier:
     rule: ExistentialRule
     # the (query atom, head position) pairs, when built by a RuleCopy
     choice: tuple = field(default=(), init=False, repr=False)
+    # plain fields, not cached_property: most unifiers are used a few times,
+    # and its first access takes a lock
     _substitution: Optional[Substitution] = field(default=None, init=False, repr=False)
+    _ex_vars: Optional[frozenset[Term]] = field(default=None, init=False, repr=False)
+    _checks: Optional[tuple] = field(default=None, init=False, repr=False)
+    _body_image: Optional[frozenset[Atom]] = field(default=None, init=False, repr=False)
 
     def substitution(self) -> Substitution:
         """The partition's associated substitution, computed once, on first use."""
         if self._substitution is None:
             self._substitution = associated_substitution(self.partition)
         return self._substitution
+
+    def ex_vars(self) -> frozenset[Term]:
+        """The terms other than existential variables in the classes with an
+        existential variable: the query variables that may not be separating."""
+        if self._ex_vars is None:
+            ex = self.rule.existentials
+            out: set[Term] = set()
+            if ex:
+                for cls in self.partition.classes():
+                    if not ex.isdisjoint(cls):
+                        out |= cls - ex
+            self._ex_vars = frozenset(out)
+        return self._ex_vars
+
+    def checks(self) -> tuple[tuple[str, ...], bool, Optional[tuple[str, ...]]]:
+        """The query-independent part of validate_piece_unifier: the problems
+        found before the existential-class condition, whether the classes with
+        an existential variable have its shape (one existential variable, and
+        otherwise only query variables of q_part), and the problems after it,
+        None when the partition is not admissible and the checks stop."""
+        if self._checks is None:
+            before = []
+            if not self.h_part <= self.rule.head:
+                before.append("h_part must be a subset of the rule head")
+            if self.partition.carrier != terms_of(self.q_part) | terms_of(self.h_part):
+                before.append("partition carrier must be terms(q_part) + terms(h_part)")
+            if not is_admissible(self.partition):
+                before.append("partition not admissible")
+                self._checks = tuple(before), False, None
+            else:
+                ex = self.rule.existentials
+                shaped = not ex or self.ex_vars() <= vars_of(self.q_part) and all(
+                    len(cls & ex) < 2 for cls in self.partition.classes())
+                u = self.substitution()
+                after = []
+                if apply_to_atoms(u, self.h_part) != apply_to_atoms(u, self.q_part):
+                    after.append("u(h_part) != u(q_part)")
+                self._checks = tuple(before), shaped, tuple(after)
+        return self._checks
+
+    def body_image(self) -> frozenset[Atom]:
+        """u(rule.body), the query-independent half of a one-step rewriting."""
+        if self._body_image is None:
+            self._body_image = apply_to_atoms(self.substitution(), self.rule.body)
+        return self._body_image
 
     def cutpoints(self) -> frozenset[Term]:
         """Unified query variables not merged with an existential variable."""
@@ -61,47 +117,39 @@ class PieceUnifier:
         return f"PieceUnifier([{qp}], [{hp}], {self.partition})"
 
 
-def _separating(q: ConjunctiveQuery, part: frozenset[Atom]) -> set[Term]:
-    """Variables of part that also occur in an atom of q outside part."""
+def _separating(q: ConjunctiveQuery, part: frozenset[Atom],
+                variables: Iterable[Term]) -> list[Term]:
+    """The variables that also occur in an atom of q outside part."""
+    if not variables:  # q's occurrences are then not built
+        return []
     occurrences = q.occurrences
-    return {v for v in vars_of(part) if not occurrences.get(v, frozenset()) <= part}
+    return [v for v in variables if not occurrences.get(v, frozenset()) <= part]
 
 
 def separating_vars(q: ConjunctiveQuery, q_part: Iterable[Atom]) -> frozenset[Term]:
     q_part = frozenset(q_part)
     if not q_part <= q.atoms:
         raise ValueError("q_part must be a subset of the query")
-    return frozenset(_separating(q, q_part))
+    return frozenset(_separating(q, q_part, vars_of(q_part)))
 
 
 def validate_piece_unifier(q: ConjunctiveQuery, mu: PieceUnifier) -> list[str]:
-    """Return the list of violated piece-unifier conditions (empty if valid)."""
-    problems = []
-    if not mu.q_part or not mu.q_part <= q.atoms:
-        problems.append("q_part must be a non-empty subset of the query")
-    if not mu.h_part <= mu.rule.head:
-        problems.append("h_part must be a subset of the rule head")
-    if mu.partition.carrier != terms_of(mu.q_part) | terms_of(mu.h_part):
-        problems.append("partition carrier must be terms(q_part) + terms(h_part)")
-    if not is_admissible(mu.partition):
-        problems.append("partition not admissible")
+    """Return the list of violated piece-unifier conditions (empty if valid).
+
+    Only q_part <= q and the non-separating variables read q; the rest is
+    mu.checks(), computed once per unifier."""
+    problems = [] if mu.q_part and mu.q_part <= q.atoms else [
+        "q_part must be a non-empty subset of the query"]
+    before, shaped, after = mu.checks()
+    problems += before
+    if after is None:
         return problems
-    nonsep = None  # built for the first class with an existential variable
-    for cls in mu.partition.classes():
-        existentials = cls & mu.rule.existentials
-        if not existentials:
-            continue
-        if nonsep is None:
-            nonsep = vars_of(mu.q_part) - _separating(q, mu.q_part)
-        if len(existentials) > 1 or not all(t in nonsep for t in cls - existentials):
-            problems.append(
-                "class with an existential variable contains a term other than "
-                "a non-separating query variable"
-            )
-            break
-    u = mu.substitution()
-    if apply_to_atoms(u, mu.h_part) != apply_to_atoms(u, mu.q_part):
-        problems.append("u(h_part) != u(q_part)")
+    if not shaped or _separating(q, mu.q_part, mu.ex_vars()):
+        problems.append(
+            "class with an existential variable contains a term other than "
+            "a non-separating query variable"
+        )
+    problems += after
     return problems
 
 
@@ -152,14 +200,6 @@ def _unifiable(pp: TermPartition, rule: ExistentialRule) -> bool:
     return True
 
 
-def _sticky(pp: TermPartition, sep: AbstractSet[Term], rule: ExistentialRule) -> frozenset[Term]:
-    sticky = set()
-    for cls in pp.classes():
-        if cls & rule.existentials:
-            sticky |= cls & sep
-    return frozenset(sticky)
-
-
 class RuleCopy:
     """A rule renamed apart by ``kb.freshen_rule``, with its sorted head, the
     positions of its head atoms by (predicate, arity), and the candidate
@@ -196,14 +236,15 @@ class RuleCopy:
 
 
 class CompiledRule:
-    """One rule's copies, copy k built on first use, and the conjunction of
-    copies 0..m-1 for each member count m used."""
+    """One rule's copies, copy k built on first use, the conjunction of
+    copies 0..m-1 for each member count m used, and each aggregation tried."""
 
     def __init__(self, rule: ExistentialRule):
         self.rule = rule
         self._counter = FreshCounter()
         self._copies: list[RuleCopy] = []
         self._aggregated: dict[int, ExistentialRule] = {}
+        self._aggregations: dict[tuple, Optional[AggregatedUnifier]] = {}
 
     def copy(self, k: int) -> RuleCopy:
         """Copy k: its variables carry index k, so distinct copies are disjoint."""
@@ -218,6 +259,19 @@ class CompiledRule:
         if agg is None:
             agg = self._aggregated[m] = aggregate_rules([self.copy(k).rule for k in range(m)])
         return agg
+
+    def aggregation(self, choices: tuple) -> Optional[AggregatedUnifier]:
+        """aggregate over the unifier of choices[k] on copy k, for each k, and
+        the aggregated rule; memoized by the choices, a failure too.  Nothing
+        here reads a query: whether the result is valid for one is beta's to
+        check."""
+        try:
+            return self._aggregations[choices]
+        except KeyError:
+            members = [self.copy(k).unifier(c) for k, c in enumerate(choices)]
+            agg = self._aggregations[choices] = aggregate(
+                members, self.aggregated(len(choices)))
+            return agg
 
 
 class RuleBase:
@@ -253,7 +307,6 @@ def single_piece_unifiers(
     RuleCopy's unifiers are reused across calls.
     """
     copy = rule if isinstance(rule, RuleCopy) else RuleCopy(rule)
-    rule = copy.rule
     positions = copy.positions
     buckets = q.index.buckets
     pool = set()
@@ -270,8 +323,8 @@ def single_piece_unifiers(
             if mu is None:
                 continue
             part = mu.q_part
-            # only a class with an existential variable has sticky variables
-            sticky = _sticky(mu.partition, _separating(q, part), rule) if rule.existentials else ()
+            # sticky: separating and in a class with an existential variable
+            sticky = _separating(q, part, mu.ex_vars())
             if not sticky:
                 out.append(mu)
                 if atomic:
@@ -301,11 +354,13 @@ def aggregate_rules(rules: list[ExistentialRule]) -> ExistentialRule:
     return ExistentialRule(label, body, head)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class AggregatedUnifier:
-    """Compatible single-piece unifiers merged over an aggregated rule."""
+    """Compatible single-piece unifiers merged over an aggregated rule.  A
+    CompiledRule shares one among the queries that reach its choices, so it
+    is immutable."""
 
-    members: list[PieceUnifier]
+    members: tuple[PieceUnifier, ...]
     rule: ExistentialRule
     merged: PieceUnifier
 
@@ -334,7 +389,7 @@ def aggregate(
         joined,
         agg_rule,
     )
-    return AggregatedUnifier(list(members), agg_rule, merged)
+    return AggregatedUnifier(tuple(members), agg_rule, merged)
 
 
 def enumerate_aggregated(
@@ -346,24 +401,26 @@ def enumerate_aggregated(
     Member slot k is its unifier's choice over copy k, memoized there, so
     the members are pairwise variable-disjoint; copy k is built when a
     (k+1)-member candidate is first tried.  An aggregation of m members uses
-    the aggregated rule over copies 0..m-1.  A plain rule is compiled here.
-    Each subset of the pieces is built once.
+    the aggregated rule over copies 0..m-1.  Each aggregation, keyed by its
+    members' choices, is built once per CompiledRule and shared by every
+    query that reaches it.  A plain rule is compiled here.  Each subset of
+    the pieces is tried once.
     """
     compiled = rule if isinstance(rule, CompiledRule) else CompiledRule(rule)
     base = sorted(single_piece_unifiers(q, compiled.copy(0)), key=lambda m: min(m.q_part))
     out: list[AggregatedUnifier] = []
 
-    def extend(members: list[PieceUnifier], start: int) -> None:
+    def extend(choices: tuple, start: int) -> None:
         # a failed aggregate stays failed under more members: parts overlap
         # or the joined partition only merges more classes
         for j in range(start, len(base)):
-            cand = members + [compiled.copy(len(members)).unifier(base[j].choice)]
-            agg = aggregate(cand, compiled.aggregated(len(cand)))
+            cand = choices + (base[j].choice,)
+            agg = compiled.aggregation(cand)
             if agg is not None:
                 out.append(agg)
                 extend(cand, j + 1)
 
-    extend([], 0)
+    extend((), 0)
     return out
 
 

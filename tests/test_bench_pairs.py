@@ -2,7 +2,10 @@
 files; no benchmark is run."""
 import importlib.util
 import json
+import shutil
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
@@ -23,6 +26,23 @@ def record(workload, seed, trace, wall):
             "result": {"correct": True, "attempted": 40, "failed": 0, "metrics": metrics}}
 
 
+def checkout(tmp_path, name, benchmark=True):
+    """A checkout holding what the script reads itself: BENCHMARK.json and
+    bench/compare.py."""
+    d = tmp_path / name
+    (d / "bench").mkdir(parents=True)
+    (d / "src").mkdir()
+    shutil.copy(ROOT / "bench" / "compare.py", d / "bench")
+    if benchmark:
+        shutil.copy(ROOT / "BENCHMARK.json", d)
+    return d
+
+
+def main_args(parent, change, out):
+    return ["--parent", str(parent), "--change", str(change), "--seeds", *map(str, range(1, 11)),
+            "--seconds", "30", "--description", "canned", "--out", str(out)]
+
+
 def test_main_alternates_the_first_side_and_writes_the_record(tmp_path, monkeypatch):
     calls = []
 
@@ -35,11 +55,8 @@ def test_main_alternates_the_first_side_and_writes_the_record(tmp_path, monkeypa
         return record(workload, seed, trace, wall)
 
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
-    (tmp_path / "p").mkdir()
     out = tmp_path / "BENCH.json"
-    status = bench_pairs.main([
-        "--parent", str(tmp_path / "p"), "--change", str(ROOT), "--seeds", *map(str, range(1, 11)),
-        "--seconds", "30", "--description", "canned", "--out", str(out)])
+    status = bench_pairs.main(main_args(checkout(tmp_path, "p"), checkout(tmp_path, "c"), out))
     assert status == 0
     untraced = [c for c in calls if not c[2]]
     assert [c[3] for c in untraced[:12]] == ["parent", "change"] * 3 + ["change", "parent"] * 3
@@ -76,3 +93,30 @@ def test_a_worse_row_is_kept_with_compare_s_exit_status():
     got = bench_pairs.assemble(records, status, rows, "worse", 5)
     assert got["compare"]["exit_status"] == 1
     assert got["seed_trace1"] == 1 and set(got["traced"]["diamond"]) == {"parent", "change"}
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+@pytest.mark.parametrize("flaw", ["no BENCHMARK.json", "src/ucqrewrite/__pycache__",
+                                  "bench/__pycache__"])
+def test_a_checkout_unlike_a_clean_archive_is_refused_before_any_run(
+        tmp_path, monkeypatch, side, flaw):
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: calls.append(args))
+    sides = {name: checkout(tmp_path, name, benchmark=not (name == side and flaw.startswith("no")))
+             for name in ("parent", "change")}
+    if flaw.endswith("__pycache__"):
+        (sides[side] / flaw).mkdir(parents=True)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(ValueError, match="BENCHMARK.json" if flaw.startswith("no") else flaw):
+        bench_pairs.main(main_args(sides["parent"], sides["change"], out))
+    assert calls == [] and not out.exists()
+
+
+def test_a_compare_crash_is_not_recorded_as_a_worse_row(tmp_path):
+    # compare.py reads BENCHMARK.json beside its bench/ and exits 1 on the
+    # uncaught FileNotFoundError, as it would on a WORSE row
+    records = {side: [record("diamond", s, 0, 0.1) for s in (1, 2, 3)]
+               for side in ("parent", "change")}
+    with pytest.raises(RuntimeError, match="exited 1"):
+        bench_pairs.compare(checkout(tmp_path, "c", benchmark=False) / "bench" / "compare.py",
+                            records)

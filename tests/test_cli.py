@@ -271,17 +271,31 @@ def test_debug_invariants_flag(capsys):
     assert code == 0
 
 
-def test_bundled_data_files_load(capsys):
+def test_bundled_data_files_load(capsys, tmp_path):
     from importlib import resources
 
     data = resources.files("ucqrewrite") / "data"
     rules = str(data / "ontology.dlgp")
-    queries = str(data / "queries.dlgp")
-    code, out, _ = run(capsys, "rewrite", "--rules", rules, "--query", queries,
-                       "--json")
-    assert code == 0
-    stats = json.loads(out)["stats"]
-    assert stats["generated"] >= stats["output"]
+    lines = [line for line in (data / "queries.dlgp").read_text().splitlines()
+             if line.startswith("?")]
+    assert len(lines) == 4
+    for i, line in enumerate(lines):
+        query = write(tmp_path, f"q{i}.dlgp", line + "\n")
+        code, out, _ = run(capsys, "rewrite", "--rules", rules, "--query", query, "--json")
+        assert code == 0
+        stats = json.loads(out)["stats"]
+        assert stats["generated"] >= stats["output"]
+
+
+@pytest.mark.parametrize("command", ["rewrite", "verify", "compare"])
+def test_a_query_file_with_several_queries_is_refused(capsys, tmp_path, command):
+    from importlib import resources
+
+    data = resources.files("ucqrewrite") / "data"
+    code, out, err = run(capsys, command, "--rules", str(data / "ontology.dlgp"),
+                         "--query", str(data / "queries.dlgp"))
+    assert (code, out) == (1, "")
+    assert err == "error: query file contains 4 query statements; give one query per file\n"
 
 
 def test_readme_names_the_parser_flags():

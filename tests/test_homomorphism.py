@@ -25,7 +25,7 @@ from ucqrewrite import (
     rewrite,
     var,
 )
-from ucqrewrite import homomorphism
+from ucqrewrite import homomorphism, kb
 from ucqrewrite.homomorphism import AtomIndex, apply_to_atoms
 from ucqrewrite.kb import MatchPlan, terms_of, vars_of
 
@@ -460,3 +460,24 @@ def test_more_general_and_core_do_not_depend_on_an_earlier_plan(q1, q2):
         for _ in range(2):  # the plan built beforehand, then the one the first call used
             assert (more_general(warm, a2), core(warm)) == cold
             assert plan_state(warm.plan) == before
+
+
+def test_more_general_builds_one_plan_per_non_boolean_query(monkeypatch):
+    built = []
+
+    class CountingPlan(MatchPlan):
+        __slots__ = ()
+
+        def __init__(self, atoms):
+            built.append(self)
+            super().__init__(atoms)
+
+    monkeypatch.setattr(kb, "MatchPlan", CountingPlan)
+    qs = [cq(atom("p", x, y), answer_vars=(x,)),
+          cq(atom("p", x, y), atom("q", y), answer_vars=(x,)),
+          cq(atom("p", x, a), answer_vars=(x,))]
+    verdicts = [more_general(q1, q2) for _ in range(3) for q1 in qs for q2 in qs]
+    assert len(verdicts) == 27 and verdicts[:9] == verdicts[9:18] == verdicts[18:]
+    assert verdicts[:9] == [True, True, True, False, True, False, False, False, True]
+    assert len(built) == 3
+    assert attach_answer_atom(qs[0]) is attach_answer_atom(qs[0])

@@ -1,9 +1,10 @@
 """Piece-unifiers: validity conditions, pieces, the single-piece algorithm,
 aggregation, and agreement with the exhaustive enumeration."""
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ucqrewrite import (
     PieceUnifier,
@@ -24,9 +25,9 @@ from ucqrewrite import (
     validate_piece_unifier,
     var,
 )
-from ucqrewrite.kb import Atom, FreshCounter, freshen_rule, terms_of, vars_of
+from ucqrewrite.kb import Atom, FreshCounter, apply_to_atoms, freshen_rule, terms_of, vars_of
 from ucqrewrite.partition import associated_substitution, is_admissible
-from ucqrewrite.unification import RuleBase
+from ucqrewrite.unification import CompiledRule, RuleBase, RuleCopy
 from conftest import random_linear_rules, random_query
 
 x, y, z, t, u, v, w = (var(n) for n in "xyztuvw")
@@ -214,6 +215,54 @@ def test_validity_check_returns_the_problems_of_the_plain_set_check(case):
     assert validate_piece_unifier(q, mu) == reference_problems(q, mu)
 
 
+EXISTENTIAL_CLASS = ("class with an existential variable contains a term other than "
+                     "a non-separating query variable")
+
+
+@st.composite
+def one_unifier_many_queries(draw):
+    """A rule copy's unifier of one choice, with an existential-class query
+    variable, and 2-4 queries around its atoms: one where that class's
+    variables occur nowhere else, one where all of them also occur in an atom
+    outside the piece, and up to two drawn ones, in a drawn order."""
+    terms = [u, v, w, a]
+    pool = [atom("p", s, o) for s in terms for o in terms] + [atom("r", s) for s in terms]
+    first = draw(st.sampled_from(VALIDITY_HEAD[:3]))  # with an existential variable
+    r = rule("r", [atom("q", x)], [first] + draw(st.lists(st.sampled_from(VALIDITY_HEAD))))
+    copy = RuleCopy(r)
+    # the first query atom, over distinct variables, meets the first head atom
+    part = [Atom(first.predicate, tuple(draw(st.permutations([u, v, w]))[:first.arity]))]
+    picks = [copy.head.index(first)]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, len(copy.head) - 1))
+        h = copy.head[j]
+        part.append(Atom(h.predicate, tuple(draw(st.sampled_from(terms)) for _ in h.args)))
+        picks.append(j)
+    mu = copy.unifier(tuple(zip(part, picks)))
+    assume(mu is not None)
+    outside = [atom("s", e) for e in sorted(mu.ex_vars())]
+    drawn = draw(st.lists(st.lists(st.sampled_from(pool), max_size=3), max_size=2))
+    queries = [cq(*part), cq(*part, *outside)] + [cq(*part, *extra) for extra in drawn]
+    return copy, mu, draw(st.permutations(queries))
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_unifier_many_queries())
+def test_a_unifier_s_memos_hold_for_every_query_it_is_checked_against(case):
+    copy, mu, queries = case
+    separating = []
+    for q in queries:
+        assert copy.unifier(mu.choice) is mu
+        problems = validate_piece_unifier(q, mu)
+        assert problems == reference_problems(q, mu)
+        separating.append(EXISTENTIAL_CLASS in problems)
+        # the sticky test reads the memoized classes: the same unifiers as a fresh copy
+        assert unifier_set(single_piece_unifiers(q, copy)) == unifier_set(
+            single_piece_unifiers(q, RuleCopy(copy.rule)))
+    assert any(separating)
+    assert mu.body_image() == apply_to_atoms(mu.substitution(), copy.rule.body)
+
+
 def test_unifiable_rejects_existential_frontier_merge():
     r = rule("r", [atom("q", x)], [atom("p", x, y)])
     # p(u,u) forces x and y together: frontier meets existential
@@ -313,6 +362,29 @@ def test_aggregation_searches_the_pieces_once(monkeypatch):
     assert [m.q_part for m in three.members] == [frozenset({at}) for at in sorted(q.atoms)]
     copies = [m.rule.variables() for m in three.members]
     assert len(frozenset().union(*copies)) == sum(map(len, copies))
+
+
+def test_aggregations_memoized_on_a_compiled_rule_are_those_of_a_fresh_one():
+    rng = random.Random(19)
+    pool = [var("U0"), var("U1"), var("U2"), a]
+    for _ in range(60):
+        head = atom("p", *(rng.choice([var("X0"), var("Y"), var("Y"), a]) for _ in range(2)))
+        compiled = CompiledRule(rule("r", [atom("q", var("X0"))], [head]))
+        queries = [cq(*(atom(rng.choice("pps"), rng.choice(pool), rng.choice(pool))
+                        for _ in range(rng.randint(1, 5)))) for _ in range(4)]
+        for q in queries + queries:
+            got = enumerate_aggregated(q, compiled)
+            fresh = enumerate_aggregated(q, CompiledRule(compiled.rule))
+            assert ([tuple(m.q_part for m in ag.members) for ag in got]
+                    == [tuple(m.q_part for m in ag.members) for ag in fresh])
+            assert [ag.merged.partition for ag in got] == [ag.merged.partition for ag in fresh]
+            # a second call shares the first call's aggregations, which cannot change
+            again = enumerate_aggregated(q, compiled)
+            assert len(again) == len(got) and all(x is y for x, y in zip(again, got))
+    agg = next(ag for q in queries for ag in enumerate_aggregated(q, compiled))
+    assert isinstance(agg.members, tuple)
+    with pytest.raises(FrozenInstanceError):
+        agg.members = ()
 
 
 def test_aggregate_rejects_overlapping_parts():
