@@ -34,7 +34,6 @@ from .partition import (
     join,
 )
 from .unification import (
-    AggregatedUnifier,
     PieceUnifier,
     aggregate,
     aggregate_rules,
@@ -60,7 +59,6 @@ from .chase import (
     chase,
     check_one_step_soundness,
     entails,
-    freeze_query,
     verify_rewriting_set,
 )
 from .dlgp import Document, DlgpError, parse_document, query_to_dlgp, serialize

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, KeysView, Optional
 
 from .kb import (
+    ANS_PREDICATE,
     Atom,
     AtomIndex,
     ConjunctiveQuery,
@@ -18,7 +19,7 @@ from .kb import (
     apply_to_atoms,
     const,
     strip_answer_atom,
-    vars_of,
+    terms_of,
 )
 from .dlgp import query_to_dlgp
 from .homomorphism import cover, find_homomorphism, homomorphisms
@@ -28,14 +29,19 @@ class ChaseState:
     """A chase instance: the rank of each of its atoms, an index over them, and
     one index per rank over the atoms of that rank.
 
-    The facts get rank 0, with their variables frozen to labelled nulls.
+    The facts get rank 0, with their variables frozen to labelled nulls in
+    order of first occurrence in the sorted facts.  Nulls are numbered past
+    every null ``__n<i>`` the facts hold, such as a chase prefix's.
     Every later atom goes into ``rank``, ``index`` and its rank's index in
     ``layers`` together through ``add``.
     """
 
     def __init__(self, facts: Iterable[Atom] = ()):
-        self.null_count = 0
-        self.rank: dict[Atom, int] = dict.fromkeys(_freeze_atoms(facts, self), 0)
+        facts = sorted(facts)
+        self.null_count = 1 + max(map(_null_number, terms_of(facts)), default=-1)
+        firsts = dict.fromkeys(t for a in facts for t in a.args if t.is_variable)
+        frozen = apply_to_atoms({v: self.fresh_null() for v in firsts}, facts)
+        self.rank: dict[Atom, int] = dict.fromkeys(frozen, 0)
         self.index = AtomIndex(self.rank)
         self.layers: dict[int, AtomIndex] = {0: self.index.snapshot()}
 
@@ -70,12 +76,12 @@ class EntailmentVerdict:
         return self.value == "yes"
 
 
-def _freeze_atoms(atoms: Iterable[Atom], state: ChaseState) -> frozenset[Atom]:
-    """Existential variables of a fact become labelled nulls (frozen constants),
-    numbered in order of first occurrence in the sorted atoms."""
-    atoms = sorted(atoms)
-    firsts = dict.fromkeys(t for a in atoms for t in a.args if t.is_variable)
-    return apply_to_atoms({v: state.fresh_null() for v in firsts}, atoms)
+def _null_number(t: Term) -> int:
+    """i for the labelled null __n<i>, else -1."""
+    digits = t.name[len(NULL_PREFIX):]
+    if t.is_constant and t.name.startswith(NULL_PREFIX) and digits.isdecimal():
+        return int(digits)
+    return -1
 
 
 def _compile(rules: Iterable[ExistentialRule]) -> list[tuple]:
@@ -160,20 +166,15 @@ def entails(
             return EntailmentVerdict("no", ranks_used=r)
 
 
-def freeze_query(q: ConjunctiveQuery, prefix: str = "__frz") -> frozenset[Atom]:
-    """Turn a query into a fact by renaming its variables to fresh constants."""
-    frozen = {v: const(f"{prefix}{i}") for i, v in enumerate(sorted(vars_of(q.atoms)))}
-    return apply_to_atoms(frozen, q.atoms)
-
-
 def check_one_step_soundness(
     original: ConjunctiveQuery,
     rewriting: ConjunctiveQuery,
     rules: Iterable[ExistentialRule],
     max_rank: int = 2,
 ) -> bool:
-    """Freeze-and-chase: the chase of a rewriting must re-entail the query."""
-    return entails(freeze_query(rewriting), rules, original, max_rank).is_yes
+    """Freeze-and-chase: the chase of a rewriting, its variables frozen to
+    nulls, must re-entail the query."""
+    return entails(rewriting.atoms, rules, original, max_rank).is_yes
 
 
 def random_ground_atoms(
@@ -199,7 +200,10 @@ def verify_rewriting_set(
     """Soundness, sampled completeness and minimality report for a cover.
 
     Completeness sampling draws fact bases from chase prefixes of random
-    ground seeds so the ground truth stays decidable at the chosen rank.
+    ground seeds so the ground truth stays decidable at the chosen rank.  A
+    fact base is a counterexample when an answer of q on its bounded chase,
+    free of the chase's nulls, is an answer of no cover query on it; a
+    Boolean q has the one answer ().
     """
     rules = list(rules)
     ucq = sorted(result.cover, key=ConjunctiveQuery.sort_key)
@@ -210,9 +214,7 @@ def verify_rewriting_set(
                     "complete_sampled": True, "counterexamples": []}
 
     for qi in ucq:
-        verdict = entails(freeze_query(qi), rules, q, base_rank)
-        if not verdict.is_yes:  # retry once with a doubled rank before failing
-            verdict = entails(freeze_query(qi), rules, q, 2 * base_rank)
+        verdict = entails(qi.atoms, rules, q, 2 * base_rank)
         entry = {"query": query_to_dlgp(strip_answer_atom(qi)), "sound": verdict.is_yes,
                  "ranks_used": verdict.ranks_used}
         report["rewritings"].append(entry)
@@ -238,12 +240,20 @@ def verify_rewriting_set(
         ]
         if extra_facts is not None:
             fact_bases.extend(frozenset(f) for f in extra_facts)
+        body = strip_answer_atom(q)
         for f in fact_bases:
-            if entails(f, rules, q, base_rank).is_yes:
-                index = AtomIndex(f)
+            # the certain answers: body matches into the chase, with no null it made
+            known = terms_of(f)
+            answers = {tuple(h.get(t, t) for t in body.answer_vars)
+                       for h in homomorphisms(body.plan, chase(f, rules, base_rank).index)}
+            for ans in sorted(answers):
+                if any(_null_number(t) >= 0 and t not in known for t in ans):
+                    continue
+                index = AtomIndex(f | {Atom(ANS_PREDICATE, ans)})
                 if not any(find_homomorphism(qi.plan, index) is not None for qi in ucq):
                     report["complete_sampled"] = False
                     report["counterexamples"].append(sorted(str(a) for a in f))
+                    break
     else:
         report["complete_sampled"] = None  # guard fired; skipped
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import count
 from operator import itemgetter
 from typing import Iterable, Optional
@@ -200,6 +199,21 @@ class MatchPlan:
             self.slots.append(slots)
 
 
+class memo:
+    """A view computed on first use and kept in the instance __dict__, where
+    later reads find it first: functools.cached_property without its lock on
+    Python 3.11.  Not a field, so equality, hashing and repr never see it."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class ConjunctiveQuery:
     """A CQ as a set of atoms.  answer_vars is empty for Boolean queries.
@@ -207,9 +221,7 @@ class ConjunctiveQuery:
     answer_vars may contain constants after rewriting steps bind an answer
     position; variable entries must occur in the atom set.  The views index,
     plan, occurrences, signature, sort_key and the answer-atom form (see
-    attach_answer_atom) are computed on first use and
-    kept in the instance __dict__, outside the fields, so equality and hashing
-    never see them.
+    attach_answer_atom) are memo views.
     """
 
     atoms: frozenset[Atom]
@@ -230,17 +242,17 @@ class ConjunctiveQuery:
     def variables(self) -> frozenset[Term]:
         return vars_of(self.atoms)
 
-    @cached_property
+    @memo
     def index(self) -> AtomIndex:
         """The atoms (not the answer tuple) as an AtomIndex."""
         return AtomIndex(self.atoms)
 
-    @cached_property
+    @memo
     def plan(self) -> MatchPlan:
         """The atoms (not the answer tuple) as a MatchPlan, in the set's order."""
         return MatchPlan(self.atoms)
 
-    @cached_property
+    @memo
     def occurrences(self) -> dict[Term, frozenset[Atom]]:
         """Each variable of the atoms -> the atoms it occurs in."""
         out: dict[Term, set[Atom]] = {}
@@ -250,14 +262,14 @@ class ConjunctiveQuery:
                     out.setdefault(t, set()).add(a)
         return {t: frozenset(atoms) for t, atoms in out.items()}
 
-    @cached_property
+    @memo
     def _answer_atom_form(self) -> "ConjunctiveQuery":
         """attach_answer_atom's result for a non-Boolean query."""
         if any(a.predicate == ANS_PREDICATE for a in self.atoms):
             raise ValueError(f"{ANS_PREDICATE} atom already present")
         return ConjunctiveQuery(self.atoms | {Atom(ANS_PREDICATE, self.answer_vars)}, ())
 
-    @cached_property
+    @memo
     def signature(self) -> frozenset[tuple[str, int]]:
         """(predicate, arity) pairs of the ans-augmented form.
 
@@ -268,7 +280,7 @@ class ConjunctiveQuery:
             return frozenset(self.index.buckets)
         return frozenset(self.index.buckets) | {(ANS_PREDICATE, len(self.answer_vars))}
 
-    @cached_property
+    @memo
     def _sort_key(self) -> tuple:
         # an atom starts with (predicate, arity): the buckets in key order hold
         # the atoms in sorted order

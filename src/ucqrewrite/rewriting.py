@@ -36,8 +36,8 @@ def beta(q: ConjunctiveQuery, rule: ExistentialRule, mu: PieceUnifier) -> Conjun
     problems = validate_piece_unifier(q, mu)
     if problems:
         raise ValueError("invalid piece-unifier: " + "; ".join(problems))
-    u = mu.substitution()
-    return ConjunctiveQuery(mu.body_image() | apply_to_atoms(u, q.atoms - mu.q_part), ())
+    return ConjunctiveQuery(
+        mu.body_image | apply_to_atoms(mu.substitution, q.atoms - mu.q_part), ())
 
 
 Operator = Callable[[ConjunctiveQuery, Union[RuleBase, Iterable[ExistentialRule]]],
@@ -48,7 +48,7 @@ Operator = Callable[[ConjunctiveQuery, Union[RuleBase, Iterable[ExistentialRule]
 UNIFIERS = {
     "full-piece": lambda q, r: general_piece_unifiers(q, r.copy(0).rule),
     "single-piece": lambda q, r: single_piece_unifiers(q, r.copy(0)),
-    "aggregated": lambda q, r: [agg.merged for agg in enumerate_aggregated(q, r)],
+    "aggregated": lambda q, r: enumerate_aggregated(q, r),
 }
 OPERATOR_KINDS = tuple(UNIFIERS)
 

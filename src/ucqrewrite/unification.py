@@ -2,7 +2,7 @@
 with any head, aggregation of compatible unifiers, and an exhaustive oracle."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from typing import Iterable, Optional, Union
@@ -16,6 +16,7 @@ from .kb import (
     Substitution,
     Term,
     apply_to_atoms,
+    memo,
     terms_of,
     vars_of,
 )
@@ -28,79 +29,72 @@ from .partition import (
 )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PieceUnifier:
     """Unifies a query subset with a rule-head subset through a term partition.
 
-    What does not depend on the query is computed once, on first use: the
+    An aggregation of unifiers over renamed rule copies is one too, over
+    their aggregated rule, with its members in ``members``.  What does not
+    depend on the query is a memo view, computed once, on first use: the
     associated substitution, the variables that must be non-separating
     (``ex_vars``), the validity checks that do not read the query
-    (``checks``) and u(rule.body) (``body_image``).  So the fields must not
-    change once it is in use."""
+    (``checks``) and u(rule.body) (``body_image``).  Copies and compiled
+    rules share a unifier among queries, so it is immutable."""
 
     q_part: frozenset[Atom]
     h_part: frozenset[Atom]
     partition: TermPartition
     rule: ExistentialRule
     # the (query atom, head position) pairs, when built by a RuleCopy
-    choice: tuple = field(default=(), init=False, repr=False)
-    # plain fields, not cached_property: most unifiers are used a few times,
-    # and its first access takes a lock
-    _substitution: Optional[Substitution] = field(default=None, init=False, repr=False)
-    _ex_vars: Optional[frozenset[Term]] = field(default=None, init=False, repr=False)
-    _checks: Optional[tuple] = field(default=None, init=False, repr=False)
-    _body_image: Optional[frozenset[Atom]] = field(default=None, init=False, repr=False)
+    choice: tuple = ()
+    # the merged unifiers, in copy order, when built by aggregate
+    members: tuple[PieceUnifier, ...] = ()
 
+    @memo
     def substitution(self) -> Substitution:
-        """The partition's associated substitution, computed once, on first use."""
-        if self._substitution is None:
-            self._substitution = associated_substitution(self.partition)
-        return self._substitution
+        """The partition's associated substitution."""
+        return associated_substitution(self.partition)
 
+    @memo
     def ex_vars(self) -> frozenset[Term]:
         """The terms other than existential variables in the classes with an
         existential variable: the query variables that may not be separating."""
-        if self._ex_vars is None:
-            ex = self.rule.existentials
-            out: set[Term] = set()
-            if ex:
-                for cls in self.partition.classes():
-                    if not ex.isdisjoint(cls):
-                        out |= cls - ex
-            self._ex_vars = frozenset(out)
-        return self._ex_vars
+        ex = self.rule.existentials
+        out: set[Term] = set()
+        if ex:
+            for cls in self.partition.classes():
+                if not ex.isdisjoint(cls):
+                    out |= cls - ex
+        return frozenset(out)
 
+    @memo
     def checks(self) -> tuple[tuple[str, ...], bool, Optional[tuple[str, ...]]]:
         """The query-independent part of validate_piece_unifier: the problems
         found before the existential-class condition, whether the classes with
         an existential variable have its shape (one existential variable, and
         otherwise only query variables of q_part), and the problems after it,
         None when the partition is not admissible and the checks stop."""
-        if self._checks is None:
-            before = []
-            if not self.h_part <= self.rule.head:
-                before.append("h_part must be a subset of the rule head")
-            if self.partition.carrier != terms_of(self.q_part) | terms_of(self.h_part):
-                before.append("partition carrier must be terms(q_part) + terms(h_part)")
-            if not is_admissible(self.partition):
-                before.append("partition not admissible")
-                self._checks = tuple(before), False, None
-            else:
-                ex = self.rule.existentials
-                shaped = not ex or self.ex_vars() <= vars_of(self.q_part) and all(
-                    len(cls & ex) < 2 for cls in self.partition.classes())
-                u = self.substitution()
-                after = []
-                if apply_to_atoms(u, self.h_part) != apply_to_atoms(u, self.q_part):
-                    after.append("u(h_part) != u(q_part)")
-                self._checks = tuple(before), shaped, tuple(after)
-        return self._checks
+        before = []
+        if not self.h_part <= self.rule.head:
+            before.append("h_part must be a subset of the rule head")
+        if self.partition.carrier != terms_of(self.q_part) | terms_of(self.h_part):
+            before.append("partition carrier must be terms(q_part) + terms(h_part)")
+        if not is_admissible(self.partition):
+            before.append("partition not admissible")
+            return tuple(before), False, None
+        ex = self.rule.existentials
+        shaped = not ex or self.ex_vars <= vars_of(self.q_part) and all(
+            len(cls & ex) < 2 for cls in self.partition.classes())
+        u = self.substitution
+        after = []
+        if apply_to_atoms(u, self.h_part) != apply_to_atoms(u, self.q_part):
+            after.append("u(h_part) != u(q_part)")
+        return tuple(before), shaped, tuple(after)
 
+    @memo
     def body_image(self) -> frozenset[Atom]:
         """u(rule.body), the query-independent half of a one-step rewriting."""
-        if self._body_image is None:
-            self._body_image = apply_to_atoms(self.substitution(), self.rule.body)
-        return self._body_image
+        return apply_to_atoms(self.substitution, self.rule.body)
 
     def cutpoints(self) -> frozenset[Term]:
         """Unified query variables not merged with an existential variable."""
@@ -137,14 +131,14 @@ def validate_piece_unifier(q: ConjunctiveQuery, mu: PieceUnifier) -> list[str]:
     """Return the list of violated piece-unifier conditions (empty if valid).
 
     Only q_part <= q and the non-separating variables read q; the rest is
-    mu.checks(), computed once per unifier."""
+    mu.checks, computed once per unifier."""
     problems = [] if mu.q_part and mu.q_part <= q.atoms else [
         "q_part must be a non-empty subset of the query"]
-    before, shaped, after = mu.checks()
+    before, shaped, after = mu.checks
     problems += before
     if after is None:
         return problems
-    if not shaped or _separating(q, mu.q_part, mu.ex_vars()):
+    if not shaped or _separating(q, mu.q_part, mu.ex_vars):
         problems.append(
             "class with an existential variable contains a term other than "
             "a non-separating query variable"
@@ -229,8 +223,7 @@ class RuleCopy:
             mu = None
             if _unifiable(pp, self.rule):
                 mu = PieceUnifier(frozenset(a for a, _ in choice),
-                                  frozenset(head[j] for _, j in choice), pp, self.rule)
-                mu.choice = choice
+                                  frozenset(head[j] for _, j in choice), pp, self.rule, choice)
             self._unifiers[choice] = mu
             return mu
 
@@ -244,7 +237,7 @@ class CompiledRule:
         self._counter = FreshCounter()
         self._copies: list[RuleCopy] = []
         self._aggregated: dict[int, ExistentialRule] = {}
-        self._aggregations: dict[tuple, Optional[AggregatedUnifier]] = {}
+        self._aggregations: dict[tuple, Optional[PieceUnifier]] = {}
 
     def copy(self, k: int) -> RuleCopy:
         """Copy k: its variables carry index k, so distinct copies are disjoint."""
@@ -260,7 +253,7 @@ class CompiledRule:
             agg = self._aggregated[m] = aggregate_rules([self.copy(k).rule for k in range(m)])
         return agg
 
-    def aggregation(self, choices: tuple) -> Optional[AggregatedUnifier]:
+    def aggregation(self, choices: tuple) -> Optional[PieceUnifier]:
         """aggregate over the unifier of choices[k] on copy k, for each k, and
         the aggregated rule; memoized by the choices, a failure too.  Nothing
         here reads a query: whether the result is valid for one is beta's to
@@ -324,7 +317,7 @@ def single_piece_unifiers(
                 continue
             part = mu.q_part
             # sticky: separating and in a class with an existential variable
-            sticky = _separating(q, part, mu.ex_vars())
+            sticky = _separating(q, part, mu.ex_vars)
             if not sticky:
                 out.append(mu)
                 if atomic:
@@ -354,21 +347,11 @@ def aggregate_rules(rules: list[ExistentialRule]) -> ExistentialRule:
     return ExistentialRule(label, body, head)
 
 
-@dataclass(frozen=True, eq=False)
-class AggregatedUnifier:
-    """Compatible single-piece unifiers merged over an aggregated rule.  A
-    CompiledRule shares one among the queries that reach its choices, so it
-    is immutable."""
-
-    members: tuple[PieceUnifier, ...]
-    rule: ExistentialRule
-    merged: PieceUnifier
-
-
 def aggregate(
     members: list[PieceUnifier], rule: Optional[ExistentialRule] = None
-) -> Optional[AggregatedUnifier]:
-    """Merge compatible unifiers; None when parts overlap or the join breaks.
+) -> Optional[PieceUnifier]:
+    """Merge compatible unifiers into one over their aggregated rule, with them
+    as its members; None when parts overlap or the join breaks.
 
     rule is aggregate_rules over the members' rules, built here when not given.
     """
@@ -383,18 +366,13 @@ def aggregate(
     if not is_admissible(joined):
         return None
     agg_rule = rule if rule is not None else aggregate_rules([m.rule for m in members])
-    merged = PieceUnifier(
-        frozenset(taken),
-        frozenset(a for m in members for a in m.h_part),
-        joined,
-        agg_rule,
-    )
-    return AggregatedUnifier(tuple(members), agg_rule, merged)
+    return PieceUnifier(frozenset(taken), frozenset(a for m in members for a in m.h_part),
+                        joined, agg_rule, members=tuple(members))
 
 
 def enumerate_aggregated(
     q: ConjunctiveQuery, rule: Union[ExistentialRule, CompiledRule]
-) -> list[AggregatedUnifier]:
+) -> list[PieceUnifier]:
     """Every compatible aggregation of single-piece unifiers, depth first.
 
     The pieces are searched once, on copy 0; a renamed copy has the same.
@@ -408,7 +386,7 @@ def enumerate_aggregated(
     """
     compiled = rule if isinstance(rule, CompiledRule) else CompiledRule(rule)
     base = sorted(single_piece_unifiers(q, compiled.copy(0)), key=lambda m: min(m.q_part))
-    out: list[AggregatedUnifier] = []
+    out: list[PieceUnifier] = []
 
     def extend(choices: tuple, start: int) -> None:
         # a failed aggregate stays failed under more members: parts overlap

@@ -118,7 +118,7 @@ def test_acceptance_1_worked_examples():
     aggs = enumerate_aggregated(qa, ra)
     assert sorted(len(a.members) for a in aggs) == [1, 1, 2]
     two = next(a for a in aggs if len(a.members) == 2)
-    got = beta(qa, two.rule, two.merged)
+    got = beta(qa, two.rule, two)
     want = canonicalize(cq(atom("p", x, y), atom("p", var("x2"), var("y2")),
                            atom("r", var("y2"), y)))
     assert equivalent(got, want) and len(got.atoms) == 3

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import ucqrewrite
 from ucqrewrite import (
+    ChaseState,
     Limits,
     atom,
     attach_answer_atom,
@@ -18,7 +19,6 @@ from ucqrewrite import (
     const,
     cq,
     entails,
-    freeze_query,
     make_operator,
     rewrite,
     rule,
@@ -95,11 +95,43 @@ def test_entailment_on_fact_variables():
     assert verdict.is_yes
 
 
-def test_freeze_query_is_deterministic_and_ground():
-    q = cq(atom("p", u, v), atom("r", u, a))
-    f1, f2 = freeze_query(q), freeze_query(q)
-    assert f1 == f2
-    assert all(t.is_constant for at in f1 for t in at.args)
+def test_fresh_nulls_do_not_collide_with_the_nulls_of_the_facts():
+    n0, n4 = const(f"{NULL_PREFIX}0"), const(f"{NULL_PREFIX}4")
+    r = rule("r", [atom("p", x)], [atom("r", x, y)])
+    facts = [atom("p", a), atom("r", a, n0), atom("p", b)]
+    # r(b,V) needs a null of its own: were it __n0, r(a,__n0) would meet it
+    assert entails(facts, [r], cq(atom("r", a, v), atom("r", b, v)), 3).value == "no"
+    assert ChaseState([atom("r", a, n4), atom("p", x)]).fresh_null() == const(f"{NULL_PREFIX}6")
+    # a fact base that verify samples is a chase prefix, and holds such nulls
+    s_rule = rule("s", [atom("s", x)], [atom("p", x)])
+    q = cq(atom("r", const("c0"), v), atom("r", const("c1"), v))
+    res = rewrite(q, [r, s_rule], make_operator("aggregated"))
+    for seed in (0, 2, 3):
+        report = verify_rewriting_set(q, [r, s_rule], res, seed=seed)
+        assert report["complete_sampled"] is True, report["counterexamples"]
+
+
+def test_verify_checks_the_answers_of_a_non_boolean_query():
+    from ucqrewrite.rewriting import RewritingResult
+
+    r = rule("r1", [atom("q", x)], [atom("p", x, y)])
+    q = attach_answer_atom(cq(atom("p", u, v), answer_vars=(u,)))
+    full = rewrite(q, [r], make_operator("aggregated"))
+    assert len(full.cover) == 2
+    facts = [frozenset({atom("q", a)})]
+    report = verify_rewriting_set(q, [r], full, samples=0, extra_facts=facts)
+    assert report["complete_sampled"] is True
+    # the cover without ?(X0) :- q(X0) misses the answer a on q(a)
+    partial = RewritingResult(cover={q}, depth_reached=1, terminated=True)
+    report = verify_rewriting_set(q, [r], partial, samples=0, extra_facts=facts)
+    assert report["complete_sampled"] is False
+    assert report["counterexamples"] == [["q(a)"]]
+    # an answer that holds a null the chase made is not a certain answer
+    r_null = rule("r2", [atom("q", x)], [atom("p", y, x)])
+    q_null = attach_answer_atom(cq(atom("p", u, v), answer_vars=(u,)))
+    report = verify_rewriting_set(q_null, [r_null], RewritingResult(
+        cover={q_null}, depth_reached=1, terminated=True), samples=0, extra_facts=facts)
+    assert report["complete_sampled"] is True
 
 
 def test_one_step_soundness_accepts_true_rewriting():

@@ -120,3 +120,25 @@ def test_layers_name_every_module():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_modules_import_only_the_modules_below_them(path):
     assert package_imports(path.read_text(encoding="utf-8")) - LAYERS[path.stem] == set()
+
+
+def uses_cached_property(source: str) -> bool:
+    """Whether the source imports or reads functools.cached_property, whose
+    first access takes a lock on Python 3.11; kb.memo is the package's memo."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias) and node.name.split(".")[-1] == "cached_property":
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == "cached_property":
+            return True
+    return False
+
+
+def test_checker_finds_cached_property():
+    assert uses_cached_property("from functools import cached_property as cp\n")
+    assert uses_cached_property("import functools\nx = functools.cached_property\n")
+    assert not uses_cached_property("from functools import reduce\n")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_uses_cached_property(path):
+    assert not uses_cached_property(path.read_text(encoding="utf-8"))

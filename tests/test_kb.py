@@ -3,6 +3,7 @@ import copy
 import pickle
 import random
 import time
+from dataclasses import dataclass, fields
 from itertools import permutations
 
 import pytest
@@ -27,7 +28,7 @@ from ucqrewrite import (
     var,
 )
 from ucqrewrite.dlgp import SourceSpan
-from ucqrewrite.kb import ANS_PREDICATE, CONSTANT, VARIABLE, vars_of
+from ucqrewrite.kb import ANS_PREDICATE, CONSTANT, VARIABLE, memo, vars_of
 from conftest import random_linear_rules, random_query
 
 x, y, z = var("x"), var("y"), var("z")
@@ -348,3 +349,34 @@ def test_cached_views_match_a_fresh_computation(seed, n_answers):
     assert (twin.index.buckets, twin.signature, twin.sort_key()) == (
         q.index.buckets, q.signature, q.sort_key())
     assert q == twin and hash(q) == hash(twin)
+
+
+def memo_views(cls) -> list[str]:
+    return sorted(name for name, attr in vars(cls).items() if isinstance(attr, memo))
+
+
+def test_a_memo_view_is_computed_once_and_kept_out_of_equality_and_hashing():
+    calls = []
+
+    @dataclass(frozen=True)
+    class Probe:
+        n: int
+
+        @memo
+        def view(self):
+            calls.append(self.n)
+            return [self.n]
+
+    p, twin = Probe(1), Probe(1)
+    assert p.view is p.view and calls == [1]
+    assert vars(p)["view"] == [1] and "view" not in vars(twin)
+    assert p == twin and hash(p) == hash(twin) and repr(p) == repr(twin)
+    # each view of a query is computed on first use and then read from the instance
+    q = cq(atom("p", x, y), atom("r", y, a), answer_vars=(x,))
+    views = memo_views(ConjunctiveQuery)
+    assert views == ["_answer_atom_form", "_sort_key", "index", "occurrences", "plan",
+                     "signature"]
+    assert not set(views) & {f.name for f in fields(ConjunctiveQuery)}
+    for name in views:
+        first = getattr(q, name)
+        assert getattr(q, name) is first and vars(q)[name] is first

@@ -1,7 +1,7 @@
 """Piece-unifiers: validity conditions, pieces, the single-piece algorithm,
 aggregation, and agreement with the exhaustive enumeration."""
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -25,7 +25,8 @@ from ucqrewrite import (
     validate_piece_unifier,
     var,
 )
-from ucqrewrite.kb import Atom, FreshCounter, apply_to_atoms, freshen_rule, terms_of, vars_of
+from ucqrewrite.kb import (
+    Atom, FreshCounter, apply_to_atoms, freshen_rule, memo, terms_of, vars_of)
 from ucqrewrite.partition import associated_substitution, is_admissible
 from ucqrewrite.unification import CompiledRule, RuleBase, RuleCopy
 from conftest import random_linear_rules, random_query
@@ -240,7 +241,7 @@ def one_unifier_many_queries(draw):
         picks.append(j)
     mu = copy.unifier(tuple(zip(part, picks)))
     assume(mu is not None)
-    outside = [atom("s", e) for e in sorted(mu.ex_vars())]
+    outside = [atom("s", e) for e in sorted(mu.ex_vars)]
     drawn = draw(st.lists(st.lists(st.sampled_from(pool), max_size=3), max_size=2))
     queries = [cq(*part), cq(*part, *outside)] + [cq(*part, *extra) for extra in drawn]
     return copy, mu, draw(st.permutations(queries))
@@ -260,7 +261,29 @@ def test_a_unifier_s_memos_hold_for_every_query_it_is_checked_against(case):
         assert unifier_set(single_piece_unifiers(q, copy)) == unifier_set(
             single_piece_unifiers(q, RuleCopy(copy.rule)))
     assert any(separating)
-    assert mu.body_image() == apply_to_atoms(mu.substitution(), copy.rule.body)
+    assert mu.body_image == apply_to_atoms(mu.substitution, copy.rule.body)
+
+
+def test_a_copy_s_memoized_unifier_is_immutable_and_computes_each_view_once(monkeypatch):
+    copy = RuleCopy(rule("r", [atom("q", x)], [atom("p", x, y), atom("s", y)]))
+    q = cq(atom("p", u, v), atom("s", v))
+    (mu,) = single_piece_unifiers(q, copy)
+    assert copy.unifier(mu.choice) is mu
+    for f in fields(PieceUnifier):
+        with pytest.raises(FrozenInstanceError):
+            setattr(mu, f.name, getattr(mu, f.name))
+    calls = []
+    monkeypatch.setattr(unification, "associated_substitution",
+                        lambda p: calls.append(p) or associated_substitution(p))
+    fresh = RuleCopy(copy.rule).unifier(mu.choice)
+    views = sorted(n for n, attr in vars(PieceUnifier).items() if isinstance(attr, memo))
+    assert views == ["body_image", "checks", "ex_vars", "substitution"]
+    for name in views:
+        first = getattr(fresh, name)
+        assert getattr(fresh, name) is first and vars(fresh)[name] is first
+    assert len(calls) == 1
+    assert not set(views) & {f.name for f in fields(PieceUnifier)}
+    assert repr(fresh) == repr(mu) and fresh != mu and validate_piece_unifier(q, fresh) == []
 
 
 def test_unifiable_rejects_existential_frontier_merge():
@@ -315,7 +338,7 @@ def test_aggregation_on_pair_merge_query():
     sizes = sorted(len(ag.members) for ag in aggs)
     assert sizes == [1, 1, 2]
     two = next(ag for ag in aggs if len(ag.members) == 2)
-    assert two.merged.q_part == {atom("q", u, v), atom("q", t, w)}
+    assert two.q_part == {atom("q", u, v), atom("q", t, w)}
     assert len(two.rule.body) == 2
 
 
@@ -377,7 +400,7 @@ def test_aggregations_memoized_on_a_compiled_rule_are_those_of_a_fresh_one():
             fresh = enumerate_aggregated(q, CompiledRule(compiled.rule))
             assert ([tuple(m.q_part for m in ag.members) for ag in got]
                     == [tuple(m.q_part for m in ag.members) for ag in fresh])
-            assert [ag.merged.partition for ag in got] == [ag.merged.partition for ag in fresh]
+            assert [ag.partition for ag in got] == [ag.partition for ag in fresh]
             # a second call shares the first call's aggregations, which cannot change
             again = enumerate_aggregated(q, compiled)
             assert len(again) == len(got) and all(x is y for x, y in zip(again, got))
