@@ -37,6 +37,7 @@ from .unification import (
     PieceUnifier,
     aggregate,
     aggregate_rules,
+    compile_rules,
     enumerate_aggregated,
     general_piece_unifiers,
     partition_by_position,

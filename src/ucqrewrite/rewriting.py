@@ -17,6 +17,7 @@ from .homomorphism import core, cover, more_general
 from .unification import (
     PieceUnifier,
     RuleBase,
+    compile_rules,
     enumerate_aggregated,
     general_piece_unifiers,
     single_piece_unifiers,
@@ -56,19 +57,20 @@ OPERATOR_KINDS = tuple(UNIFIERS)
 def make_operator(kind: str) -> Operator:
     """One-step rewriting: beta over each unifier of kind, each with its rule copy.
 
-    The operator takes the rules as a RuleBase, or compiles a plain iterable
-    of rules for the one call.  A query's answer variables are folded into an
-    answer atom first, as ``rewrite`` does, so every rewriting keeps them.  A
-    query with variables in the reserved namespace, such as a raw rewriting,
-    is rewritten in its canonical form, as it may share variables with the
-    rule copies.
+    The operator takes the rules as a RuleBase, or as rules, which
+    ``compile_rules`` compiles, or reuses while they are the objects of its
+    last call.  A query's answer variables are folded into an answer atom
+    first, as ``rewrite`` does, so every rewriting keeps them.  A query with
+    variables in the reserved namespace, such as a raw rewriting, is
+    rewritten in its canonical form, as it may share variables with the rule
+    copies.
     """
     unifiers = UNIFIERS.get(kind)
     if unifiers is None:
         raise ValueError(f"unknown operator kind {kind!r}")
 
     def op(q, rules):
-        base = rules if isinstance(rules, RuleBase) else RuleBase(rules)
+        base = compile_rules(rules)
         q = attach_answer_atom(q)
         if any(v.name.startswith(RESERVED_PREFIX) for v in q.variables()):
             q = canonicalize(q)
@@ -122,7 +124,7 @@ def _check_invariants(qf, qe, op, rules):
 
 def rewrite(
     q: ConjunctiveQuery,
-    rules: Iterable[ExistentialRule],
+    rules: Union[RuleBase, Iterable[ExistentialRule]],
     op: Operator,
     limits: Optional[Limits] = None,
     debug_invariants: bool = False,
@@ -131,15 +133,17 @@ def rewrite(
 
     Keeps a cover of everything generated so far, explored queries preferred,
     and explores only the queries that survived the cover step.  The rules
-    are compiled once, into a RuleBase.  The cover sees each distinct raw
-    rewriting once per call, at the first level that makes it: a query leaves
-    the result set only for one that is >= it, so the result set still covers
-    each raw rewriting decided before, and the cover would drop it again.
-    Each query the cover keeps is processed once, as it enters the result
-    set.  Answer variables are folded into an answer atom first, so every
-    rewriting keeps them.
+    are a RuleBase, or rules that ``compile_rules`` compiles, or reuses while
+    they are the objects of its last call; a RuleBase's copies and memos
+    outlive the call and serve the next query over the same rules.  The
+    cover sees each distinct raw rewriting once per call, at the first level
+    that makes it: a query leaves the result set only for one that is >= it,
+    so the result set still covers each raw rewriting decided before, and the
+    cover would drop it again.  Each query the cover keeps is processed once,
+    as it enters the result set.  Answer variables are folded into an answer
+    atom first, so every rewriting keeps them.
     """
-    rules = RuleBase(rules)
+    rules = compile_rules(rules)
     limits = limits or Limits()
     start = time.monotonic()
     q0 = process(attach_answer_atom(q))
@@ -194,15 +198,16 @@ def rewrite(
 
 def saturate(
     q: ConjunctiveQuery,
-    rules: Iterable[ExistentialRule],
+    rules: Union[RuleBase, Iterable[ExistentialRule]],
     op: Operator,
     depth: int,
 ) -> set[ConjunctiveQuery]:
     """Un-pruned k-saturation: every rewriting reachable in at most depth steps.
 
     Deduplicates by canonical form only; no cores, no cover maintenance.
+    The rules are taken as ``rewrite`` takes them.
     """
-    rules = RuleBase(rules)
+    rules = compile_rules(rules)
     q0 = canonicalize(attach_answer_atom(q))
     seen: set[ConjunctiveQuery] = {q0}
     frontier = [q0]

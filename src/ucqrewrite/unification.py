@@ -268,8 +268,10 @@ class CompiledRule:
 
 
 class RuleBase:
-    """The rules of one rewriting run, compiled once: each rule's copies and
-    memos, and an index of the rules by the (predicate, arity) of their heads."""
+    """A rule set, compiled once: each rule's copies and memos, and an index
+    of the rules by the (predicate, arity) of their heads.  Nothing here reads
+    a query, so one RuleBase serves every query rewritten over its rules;
+    ``compile_rules`` keeps the last one built."""
 
     def __init__(self, rules: Iterable[ExistentialRule]):
         self.rules = [CompiledRule(r) for r in rules]
@@ -284,6 +286,30 @@ class RuleBase:
         AIJ 2011)."""
         hits = {i for key in q.signature for i in self._by_head.get(key, ())}
         return [self.rules[i] for i in sorted(hits)]
+
+
+# the rule tuple compile_rules compiled last, and its RuleBase; the tuple
+# holds the rules, so no id in it is recycled while it is kept
+_last_compiled: tuple[tuple[ExistentialRule, ...], RuleBase] = ((), RuleBase(()))
+
+
+def compile_rules(rules: Union[RuleBase, Iterable[ExistentialRule]]) -> RuleBase:
+    """The RuleBase of rules: a RuleBase as it is; otherwise the last one
+    built, while the rules are the same objects in the same order, or a new
+    one, which replaces it.
+
+    Rules are compared by identity, not equality: equal rules parsed anew get
+    their own RuleBase.  Only one entry is kept, so interleaving two rule sets
+    compiles each call."""
+    global _last_compiled
+    if isinstance(rules, RuleBase):
+        return rules
+    rules = tuple(rules)
+    last, base = _last_compiled
+    if len(last) != len(rules) or any(a is not b for a, b in zip(last, rules)):
+        base = RuleBase(rules)
+        _last_compiled = rules, base
+    return base
 
 
 def single_piece_unifiers(

@@ -14,7 +14,9 @@ from ucqrewrite import (
     core,
     cq,
     equivalent,
+    compile_rules,
     general_piece_unifiers,
+    kb,
     make_operator,
     more_general,
     parse_document,
@@ -36,7 +38,8 @@ from ucqrewrite.kb import (
 )
 from ucqrewrite.homomorphism import cover
 from ucqrewrite.rewriting import OPERATOR_KINDS, InvariantViolation, beta
-from conftest import DATA, random_linear_rules, random_multi_head_instance, random_query
+from ucqrewrite.unification import RuleBase
+from conftest import DATA, load, random_linear_rules, random_multi_head_instance, random_query
 
 x, y, z, t, u, v, w = (var(n) for n in "xyztuvw")
 
@@ -410,3 +413,134 @@ def test_no_raw_rewriting_reaches_the_cover_twice(kind, monkeypatch):
         got = {"generated": res.generated_count, "output": len(res.cover),
                "depth": res.depth_reached}
         assert res.terminated and got == base[kind], base["query"]
+
+
+def summary(res):
+    return printed_cover(res), res.generated_count, res.depth_reached, res.terminated
+
+
+def counting_rule_copies(monkeypatch):
+    """The rules kb.freshen_rule is called on from now on."""
+    calls = []
+    found = kb.freshen_rule
+
+    def counting(r, counter):
+        calls.append(r)
+        return found(r, counter)
+
+    monkeypatch.setattr(kb, "freshen_rule", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", OPERATOR_KINDS)
+def test_rewrite_and_saturate_take_a_compiled_rule_base(kind):
+    text = load("two_rule_loop.dlgp")
+    doc = parse_document(text)
+    base = RuleBase(doc.rules)
+    assert compile_rules(base) is base
+    op = make_operator(kind)
+    fresh = parse_document(text).rules
+    assert summary(rewrite(doc.queries[0], base, op)) == \
+        summary(rewrite(doc.queries[0], fresh, op))
+    assert saturate(doc.queries[0], base, op, 3) == \
+        saturate(doc.queries[0], parse_document(text).rules, op, 3)
+
+
+def test_rewriting_the_same_rule_objects_again_makes_no_rule_copy(monkeypatch):
+    text = load("two_rule_loop.dlgp")
+    doc = parse_document(text)
+    rules, q = doc.rules, doc.queries[0]
+    op = make_operator("aggregated")
+    copies = counting_rule_copies(monkeypatch)
+    first = summary(rewrite(q, rules, op))
+    assert copies
+    copies.clear()
+    assert summary(rewrite(q, rules, op)) == first
+    assert summary(rewrite(q, list(rules), op)) == first  # a new list of the same rules
+    assert not copies
+    base = compile_rules(rules)
+    assert compile_rules(tuple(rules)) is base
+    # equal rules parsed anew are other objects: they are compiled anew
+    equal = parse_document(text).rules
+    assert equal == rules
+    assert compile_rules(equal) is not base
+    assert summary(rewrite(q, equal, op)) == first
+    assert copies
+
+
+def test_a_rule_list_changed_between_calls_is_compiled_anew():
+    text = load("two_rule_loop.dlgp")
+    extra = "[r3] r(Y) :- s(Y)."
+    q = parse_document(text).queries[0]
+    op = make_operator("aggregated")
+    want_swapped = summary(rewrite(q, parse_document(text).rules[::-1], op))
+    want_grown = summary(rewrite(
+        q, parse_document(text).rules[::-1] + parse_document(extra).rules, op))
+    assert want_grown != want_swapped
+
+    rules = parse_document(text).rules
+    base = compile_rules(rules)
+    rules.reverse()
+    swapped = compile_rules(rules)
+    assert swapped is not base and [c.rule for c in swapped.rules] == rules
+    assert summary(rewrite(q, rules, op)) == want_swapped
+
+    rules.append(parse_document(extra).rules[0])
+    grown = compile_rules(rules)
+    assert grown is not swapped and [c.rule for c in grown.rules] == rules
+    assert summary(rewrite(q, rules, op)) == want_grown
+
+
+# two_rule_loop's rules grow t(U0) by one atom a level, so the full-piece
+# operator refuses this query at its second level, past the size caps
+GROWING = "? :- t(U0), s(U0,U1), s(U1,U2), s(U2,U3), s(U3,U4), s(U4,U5), " \
+          "s(U5,U6), s(U6,U7), s(U7,U8)."
+
+
+def test_interleaved_queries_and_operators_over_one_rule_list_match_fresh_rules(monkeypatch):
+    # every golden file's rules in one list, and its queries in turn under
+    # each operator; a run the full-piece operator refuses partway through
+    # must leave the shared memos as a fresh rule list has them
+    texts = [path.read_text() for path in sorted(DATA.glob("*.dlgp"))] + [GROWING]
+
+    def parsed():
+        docs = [parse_document(text) for text in texts]
+        return [r for d in docs for r in d.rules], [q for d in docs for q in d.queries]
+
+    n = len(parsed()[1])
+    golden = [(i, OPERATOR_KINDS[(i + j) % len(OPERATOR_KINDS)])
+              for j in range(len(OPERATOR_KINDS)) for i in range(n - 1)]
+    refused = [(n - 1, "full-piece"), (n - 1, "aggregated"), (n - 1, "single-piece")]
+    sequence = golden[:n] + refused + golden[n:]
+    limits = Limits(max_generated=300, timeout=None)
+
+    def run(rules, q, kind):
+        levels = []
+        op = make_operator(kind)
+
+        def counted(cur, base):
+            levels.append(cur)
+            return op(cur, base)
+
+        try:
+            return summary(rewrite(q, rules, counted, limits)), len(levels)
+        except ValueError as e:
+            return ("refused", str(e)), len(levels)
+
+    copies = counting_rule_copies(monkeypatch)
+    want = []
+    for i, kind in sequence:
+        rules, queries = parsed()
+        want.append(run(rules, queries[i], kind))
+    fresh_copies = len(copies)
+    copies.clear()
+
+    rules, queries = parsed()
+    base = compile_rules(rules)
+    got = [run(rules, queries[i], kind) for i, kind in sequence]
+    assert compile_rules(rules) is base
+    assert got == want
+    (refusal, _), (after, _) = want[n:n + 2]
+    assert refusal[0] == "refused" and after[0] != "refused"
+    assert want[n][1] > 1  # the refusal came after the first level
+    assert 0 < len(copies) < fresh_copies
