@@ -11,10 +11,10 @@ from ucqrewrite import (
     Limits,
     atom,
     canonicalize,
+    compile_rules,
     core,
     cq,
     equivalent,
-    compile_rules,
     general_piece_unifiers,
     kb,
     make_operator,
@@ -515,17 +515,17 @@ def test_interleaved_queries_and_operators_over_one_rule_list_match_fresh_rules(
     limits = Limits(max_generated=300, timeout=None)
 
     def run(rules, q, kind):
-        levels = []
+        explored = []
         op = make_operator(kind)
 
         def counted(cur, base):
-            levels.append(cur)
+            explored.append(cur)
             return op(cur, base)
 
         try:
-            return summary(rewrite(q, rules, counted, limits)), len(levels)
+            return summary(rewrite(q, rules, counted, limits)), len(explored)
         except ValueError as e:
-            return ("refused", str(e)), len(levels)
+            return ("refused", str(e)), len(explored)
 
     copies = counting_rule_copies(monkeypatch)
     want = []
@@ -542,5 +542,5 @@ def test_interleaved_queries_and_operators_over_one_rule_list_match_fresh_rules(
     assert got == want
     (refusal, _), (after, _) = want[n:n + 2]
     assert refusal[0] == "refused" and after[0] != "refused"
-    assert want[n][1] > 1  # the refusal came after the first level
+    assert want[n][1] > 1  # refused at the second level, not the first
     assert 0 < len(copies) < fresh_copies
