@@ -58,22 +58,22 @@ def make_operator(kind: str) -> Operator:
     """One-step rewriting: beta over each unifier of kind, each with its rule copy.
 
     The operator takes the rules as a RuleBase, or as rules, which
-    ``compile_rules`` compiles, or reuses while they are the objects of its
-    last call.  A query's answer variables are folded into an answer atom
-    first, as ``rewrite`` does, so every rewriting keeps them.  A query with
-    variables in the reserved namespace, such as a raw rewriting, is
-    rewritten in its canonical form, as it may share variables with the rule
-    copies.
+    ``compile_rules`` compiles for the query, or reuses while they are the
+    objects of its last call and the query is in their vocabulary.  A
+    query's answer variables are folded into an answer atom first, as
+    ``rewrite`` does, so every rewriting keeps them.  A query with variables
+    in the reserved namespace, such as a raw rewriting, is rewritten in its
+    canonical form, as it may share variables with the rule copies.
     """
     unifiers = UNIFIERS.get(kind)
     if unifiers is None:
         raise ValueError(f"unknown operator kind {kind!r}")
 
     def op(q, rules):
-        base = compile_rules(rules)
         q = attach_answer_atom(q)
         if any(v.name.startswith(RESERVED_PREFIX) for v in q.variables()):
             q = canonicalize(q)
+        base = compile_rules(rules, q)
         return [beta(q, mu.rule, mu) for r in base.unifiable(q) for mu in unifiers(q, r)]
 
     return op
@@ -133,20 +133,21 @@ def rewrite(
 
     Keeps a cover of everything generated so far, explored queries preferred,
     and explores only the queries that survived the cover step.  The rules
-    are a RuleBase, or rules that ``compile_rules`` compiles, or reuses while
-    they are the objects of its last call; a RuleBase's copies and memos
-    outlive the call and serve the next query over the same rules.  The
-    cover sees each distinct raw rewriting once per call, at the first level
-    that makes it: a query leaves the result set only for one that is >= it,
-    so the result set still covers each raw rewriting decided before, and the
-    cover would drop it again.  Each query the cover keeps is processed once,
-    as it enters the result set.  Answer variables are folded into an answer
-    atom first, so every rewriting keeps them.
+    are a RuleBase, or rules that ``compile_rules`` compiles for the query,
+    or reuses while they are the objects of its last call and the query is
+    in their vocabulary; a RuleBase's copies and memos outlive the call and
+    serve the next query over it.  The cover sees each distinct raw
+    rewriting once per call, at the first level that makes it: a query leaves
+    the result set only for one that is >= it, so the result set still covers
+    each raw rewriting decided before, and the cover would drop it again.
+    Each query the cover keeps is processed once, as it enters the result
+    set.  Answer variables are folded into an answer atom first, so every
+    rewriting keeps them.
     """
-    rules = compile_rules(rules)
     limits = limits or Limits()
     start = time.monotonic()
     q0 = process(attach_answer_atom(q))
+    rules = compile_rules(rules, q0)
     qf: set[ConjunctiveQuery] = {q0}
     qe: set[ConjunctiveQuery] = {q0}
     generated = 0
@@ -207,8 +208,8 @@ def saturate(
     Deduplicates by canonical form only; no cores, no cover maintenance.
     The rules are taken as ``rewrite`` takes them.
     """
-    rules = compile_rules(rules)
     q0 = canonicalize(attach_answer_atom(q))
+    rules = compile_rules(rules, q0)
     seen: set[ConjunctiveQuery] = {q0}
     frontier = [q0]
     for _ in range(depth):

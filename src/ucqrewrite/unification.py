@@ -268,10 +268,13 @@ class CompiledRule:
 
 
 class RuleBase:
-    """A rule set, compiled once: each rule's copies and memos, and an index
-    of the rules by the (predicate, arity) of their heads.  Nothing here reads
-    a query, so one RuleBase serves every query rewritten over its rules;
-    ``compile_rules`` keeps the last one built."""
+    """A rule set, compiled once: each rule's copies and memos, an index of
+    the rules by the (predicate, arity) of their heads, and the rules'
+    constants.  Nothing here reads a query, but the memos are keyed by query
+    atoms: they serve every query rewritten over this RuleBase that makes the
+    same choices, and they grow with the distinct choices made.
+    ``compile_rules`` keeps the last one built for queries whose memos stay
+    bounded."""
 
     def __init__(self, rules: Iterable[ExistentialRule]):
         self.rules = [CompiledRule(r) for r in rules]
@@ -279,6 +282,8 @@ class RuleBase:
         for i, c in enumerate(self.rules):
             for key in {(h.predicate, h.arity) for h in c.rule.head}:
                 self._by_head.setdefault(key, []).append(i)
+        self.constants = frozenset(t for c in self.rules
+                                   for t in terms_of(c.rule.body | c.rule.head) if t.is_constant)
 
     def unifiable(self, q: ConjunctiveQuery) -> list[CompiledRule]:
         """The rules, in input order, with a head atom whose (predicate, arity)
@@ -287,20 +292,36 @@ class RuleBase:
         hits = {i for key in q.signature for i in self._by_head.get(key, ())}
         return [self.rules[i] for i in sorted(hits)]
 
+    def in_vocabulary(self, q: ConjunctiveQuery) -> bool:
+        """Whether each term of q is a canonical variable (``v`` with an index,
+        as ``kb.canonicalize`` names them) or a constant of the rules.
+
+        A rewriting's constants are its query's and the rules', so the
+        canonical rewritings of such a query are in the vocabulary too, and
+        the choices they make are bounded by the rules and the query sizes."""
+        return all(t in self.constants if t.is_constant
+                   else t.name == "v" and t.fresh_index is not None
+                   for a in q.atoms for t in a.args)
+
 
 # the rule tuple compile_rules compiled last, and its RuleBase; the tuple
 # holds the rules, so no id in it is recycled while it is kept
 _last_compiled: tuple[tuple[ExistentialRule, ...], RuleBase] = ((), RuleBase(()))
 
 
-def compile_rules(rules: Union[RuleBase, Iterable[ExistentialRule]]) -> RuleBase:
-    """The RuleBase of rules: a RuleBase as it is; otherwise the last one
-    built, while the rules are the same objects in the same order, or a new
-    one, which replaces it.
+def compile_rules(rules: Union[RuleBase, Iterable[ExistentialRule]],
+                  q: ConjunctiveQuery) -> RuleBase:
+    """The RuleBase to rewrite q over: a RuleBase as it is; otherwise the last
+    one built, while the rules are the same objects in the same order and q
+    is in its vocabulary, or a new one.
 
     Rules are compared by identity, not equality: equal rules parsed anew get
-    their own RuleBase.  Only one entry is kept, so interleaving two rule sets
-    compiles each call."""
+    their own RuleBase.  A query out of the vocabulary, as one with a
+    constant of the data, gets a RuleBase for itself and leaves the entry as
+    it is: the memos it makes serve no query without that constant, and
+    would grow with every new one.  A new RuleBase built for a query in the
+    vocabulary replaces the entry; only one is kept, so interleaving two
+    rule sets compiles each call."""
     global _last_compiled
     if isinstance(rules, RuleBase):
         return rules
@@ -308,7 +329,10 @@ def compile_rules(rules: Union[RuleBase, Iterable[ExistentialRule]]) -> RuleBase
     last, base = _last_compiled
     if len(last) != len(rules) or any(a is not b for a, b in zip(last, rules)):
         base = RuleBase(rules)
-        _last_compiled = rules, base
+        if base.in_vocabulary(q):
+            _last_compiled = rules, base
+    elif not base.in_vocabulary(q):
+        base = RuleBase(rules)
     return base
 
 

@@ -251,6 +251,23 @@ def test_compare_table_and_exit(capsys):
     assert "operator" in out and "aggregated" in out
 
 
+def test_compare_gives_each_operator_a_rule_base_of_its_own(capsys, monkeypatch):
+    # each operator makes its own rule copies, so its time does not depend on
+    # the operators before it in the row
+    made = []
+    found = ucqrewrite.kb.freshen_rule
+    monkeypatch.setattr(ucqrewrite.kb, "freshen_rule",
+                        lambda r, counter: made.append(r) or found(r, counter))
+    alone = 0
+    for kind in ("single-piece", "aggregated"):
+        run(capsys, "compare", "--rules", RULES, "--query", RULES, "--operators", kind)
+        alone += len(made)
+        made.clear()
+    code, _, _ = run(capsys, "compare", "--rules", RULES, "--query", RULES,
+                     "--operators", "single-piece,aggregated")
+    assert code == 0 and len(made) == alone > 0
+
+
 def test_compare_json(capsys):
     code, out, _ = run(capsys, "compare", "--rules", RULES, "--query", RULES,
                        "--json")

@@ -419,6 +419,17 @@ def summary(res):
     return printed_cover(res), res.generated_count, res.depth_reached, res.terminated
 
 
+def canonical(q):
+    """q as rewrite explores it: the form compile_rules is asked about."""
+    return canonicalize(attach_answer_atom(q))
+
+
+def memo_entries(base):
+    """The unifiers and aggregations a RuleBase holds."""
+    return sum(len(c._unifiers) for r in base.rules for c in r._copies) + \
+        sum(len(r._aggregations) for r in base.rules)
+
+
 def counting_rule_copies(monkeypatch):
     """The rules kb.freshen_rule is called on from now on."""
     calls = []
@@ -437,7 +448,7 @@ def test_rewrite_and_saturate_take_a_compiled_rule_base(kind):
     text = load("two_rule_loop.dlgp")
     doc = parse_document(text)
     base = RuleBase(doc.rules)
-    assert compile_rules(base) is base
+    assert compile_rules(base, canonical(doc.queries[0])) is base
     op = make_operator(kind)
     fresh = parse_document(text).rules
     assert summary(rewrite(doc.queries[0], base, op)) == \
@@ -458,12 +469,12 @@ def test_rewriting_the_same_rule_objects_again_makes_no_rule_copy(monkeypatch):
     assert summary(rewrite(q, rules, op)) == first
     assert summary(rewrite(q, list(rules), op)) == first  # a new list of the same rules
     assert not copies
-    base = compile_rules(rules)
-    assert compile_rules(tuple(rules)) is base
+    base = compile_rules(rules, canonical(q))
+    assert compile_rules(tuple(rules), canonical(q)) is base
     # equal rules parsed anew are other objects: they are compiled anew
     equal = parse_document(text).rules
     assert equal == rules
-    assert compile_rules(equal) is not base
+    assert compile_rules(equal, canonical(q)) is not base
     assert summary(rewrite(q, equal, op)) == first
     assert copies
 
@@ -479,39 +490,70 @@ def test_a_rule_list_changed_between_calls_is_compiled_anew():
     assert want_grown != want_swapped
 
     rules = parse_document(text).rules
-    base = compile_rules(rules)
+    base = compile_rules(rules, canonical(q))
     rules.reverse()
-    swapped = compile_rules(rules)
+    swapped = compile_rules(rules, canonical(q))
     assert swapped is not base and [c.rule for c in swapped.rules] == rules
     assert summary(rewrite(q, rules, op)) == want_swapped
 
     rules.append(parse_document(extra).rules[0])
-    grown = compile_rules(rules)
+    grown = compile_rules(rules, canonical(q))
     assert grown is not swapped and [c.rule for c in grown.rules] == rules
     assert summary(rewrite(q, rules, op)) == want_grown
+
+
+def test_a_query_with_a_data_constant_gets_a_rule_base_of_its_own(monkeypatch):
+    # its memos would serve only queries with that constant: the kept rule
+    # base neither serves nor keeps them, so new constants leave it as it is
+    text = load("shared_witness.dlgp")
+    doc = parse_document(text)
+    rules, q = doc.rules, doc.queries[0]
+    op = make_operator("aggregated")
+    rewrite(q, rules, op)
+    base = compile_rules(rules, canonical(q))
+    kept = memo_entries(base)
+    assert kept
+    assert compile_rules(rules, attach_answer_atom(q)) is not base  # variables as parsed
+    copies = counting_rule_copies(monkeypatch)
+    for name in ("a", "b", "c"):
+        with_constant = parse_document(
+            f"? :- p({name},V), p(W,V), p(W,T), r({name},W).").queries[0]
+        assert compile_rules(rules, canonical(with_constant)) is not base
+        assert summary(rewrite(with_constant, rules, op)) == \
+            summary(rewrite(with_constant, parse_document(text).rules, op))
+    assert copies
+    assert compile_rules(rules, canonical(q)) is base and memo_entries(base) == kept
+    # a constant of the rules is in their vocabulary
+    ruled = parse_document(text + "[r2] q(X) :- r(a,X).\n").rules
+    shared = compile_rules(ruled, canonical(q))
+    assert compile_rules(ruled, canonical(parse_document("? :- q(a).").queries[0])) is shared
 
 
 # two_rule_loop's rules grow t(U0) by one atom a level, so the full-piece
 # operator refuses this query at its second level, past the size caps
 GROWING = "? :- t(U0), s(U0,U1), s(U1,U2), s(U2,U3), s(U3,U4), s(U4,U5), " \
           "s(U5,U6), s(U6,U7), s(U7,U8)."
+# a constant of no rule: each operator rewrites it over a rule base of its own
+WITH_CONSTANT = "? :- p(U,a), p(a,T), r(T)."
 
 
 def test_interleaved_queries_and_operators_over_one_rule_list_match_fresh_rules(monkeypatch):
     # every golden file's rules in one list, and its queries in turn under
     # each operator; a run the full-piece operator refuses partway through
     # must leave the shared memos as a fresh rule list has them
-    texts = [path.read_text() for path in sorted(DATA.glob("*.dlgp"))] + [GROWING]
+    texts = [path.read_text() for path in sorted(DATA.glob("*.dlgp"))] + \
+        [GROWING, WITH_CONSTANT]
 
     def parsed():
         docs = [parse_document(text) for text in texts]
         return [r for d in docs for r in d.rules], [q for d in docs for q in d.queries]
 
-    n = len(parsed()[1])
+    n = len(parsed()[1]) - 1  # the golden queries and GROWING
     golden = [(i, OPERATOR_KINDS[(i + j) % len(OPERATOR_KINDS)])
               for j in range(len(OPERATOR_KINDS)) for i in range(n - 1)]
     refused = [(n - 1, "full-piece"), (n - 1, "aggregated"), (n - 1, "single-piece")]
-    sequence = golden[:n] + refused + golden[n:]
+    with_constant = [(n, kind) for kind in OPERATOR_KINDS]
+    sequence = golden[:n] + refused + with_constant + golden[n:]
     limits = Limits(max_generated=300, timeout=None)
 
     def run(rules, q, kind):
@@ -536,9 +578,9 @@ def test_interleaved_queries_and_operators_over_one_rule_list_match_fresh_rules(
     copies.clear()
 
     rules, queries = parsed()
-    base = compile_rules(rules)
+    base = compile_rules(rules, canonical(queries[0]))
     got = [run(rules, queries[i], kind) for i, kind in sequence]
-    assert compile_rules(rules) is base
+    assert compile_rules(rules, canonical(queries[0])) is base
     assert got == want
     (refusal, _), (after, _) = want[n:n + 2]
     assert refusal[0] == "refused" and after[0] != "refused"
