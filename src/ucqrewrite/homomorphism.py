@@ -154,6 +154,76 @@ def isomorphic(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
     return canonicalize(q1) == canonicalize(q2)
 
 
+def fixed_atoms(plan: MatchPlan, index: AtomIndex, fixed: Substitution) -> set[Atom]:
+    """Atoms of plan that every self-map extending fixed sends to themselves,
+    as far as arc consistency (Mackworth, AIJ 1977) shows.
+
+    index holds plan's atoms, and fixed maps variables to themselves.  An
+    atom alone in its bucket is its only image, so its variables are fixed
+    too.  Each other atom's domain starts as its bucket under the plan's
+    constant and repeat checks and the fixed variables.  A variable's values
+    are those that every one of its occurrences allows, and an atom keeps
+    the candidates whose arguments are allowed, until nothing changes.  The
+    identity is a self-map, so no domain empties; an atom whose domain ends
+    as itself alone is returned.  A pass only drops candidates that no
+    self-map uses, so it may return fewer atoms than are fixed, never more.
+    """
+    buckets, keys, slots = index.buckets, plan.keys, plan.slots
+    bound = set(fixed)
+    shared = []
+    for j, key in enumerate(keys):
+        if len(buckets[key]) == 1:
+            for s, _, _ in slots[j]:
+                bound.add(s)
+        else:
+            shared.append(j)
+    domains = [None] * len(keys)
+    joins = {}  # atom -> its slots of free variables that occur in another atom
+    for j in shared:
+        d = buckets[keys[j]]
+        for k, c in plan.consts[j]:
+            d = [u for u in d if u[2][k] == c]
+        for k, k0 in plan.repeats[j]:
+            d = [u for u in d if u[2][k] == u[2][k0]]
+        js = []
+        for slot in slots[j]:
+            s, k, occ = slot
+            if s in bound:
+                d = [u for u in d if u[2][k] == s]
+            elif len(occ) > 1:
+                js.append(slot)
+        domains[j] = d
+        if js:
+            joins[j] = js
+    # the values of each free variable; every domain's projection on it is a
+    # subset, so an atom narrows it exactly when its projection is smaller.
+    # The smallest domains are taken first, as they narrow the most.
+    values = {}
+    queue = sorted(joins, key=lambda j: len(domains[j]), reverse=True)
+    queued = set(queue)
+    while queue:
+        j = queue.pop()
+        queued.remove(j)
+        d = domains[j]
+        for s, k, occ in joins[j]:
+            allowed = {u[2][k] for u in d}
+            old = values.get(s)
+            if old is not None and len(allowed) == len(old):
+                continue
+            values[s] = allowed
+            for i, ki in occ:
+                di = domains[i]
+                if i != j and len(di) > 1:
+                    narrowed = [u for u in di if u[2][ki] in allowed]
+                    if len(narrowed) < len(di):
+                        domains[i] = narrowed
+                        if i in joins and i not in queued:
+                            queue.append(i)
+                            queued.add(i)
+    atoms = plan.atoms
+    return {atoms[j] for j in shared if len(domains[j]) == 1}
+
+
 def core(q: ConjunctiveQuery) -> ConjunctiveQuery:
     """Retract q onto its core in one pass: each atom a left is tested once.
 
@@ -163,12 +233,16 @@ def core(q: ConjunctiveQuery) -> ConjunctiveQuery:
     h maps each answer variable to itself.  The atoms are indexed and
     compiled into a match plan once, q's own, and again after each
     retraction; an atom alone in its bucket is never tested, as nothing else
-    can be its image.
+    can be its image.  Nor is an atom that fixed_atoms finds on q: every
+    self-map of q sends it to itself, so its test fails, and fails on every
+    retract too, as a map of a retract that avoided it, composed with the
+    retraction, would be a self-map of q that avoids it.
     """
     atoms, index, plan = q.atoms, q.index, q.plan
     fixed = {v: v for v in q.answer_vars if v.is_variable}
+    skip = fixed_atoms(plan, index, fixed) if len(index.buckets) < len(atoms) else ()
     for a in sorted(q.atoms):
-        if a not in atoms or len(index.buckets[(a.predicate, a.arity)]) == 1:
+        if a not in atoms or a in skip or len(index.buckets[(a.predicate, a.arity)]) == 1:
             continue
         h = find_homomorphism(plan, index.without(a), fixed)
         if h is not None:

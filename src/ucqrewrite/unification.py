@@ -432,23 +432,27 @@ def enumerate_aggregated(
     the aggregated rule over copies 0..m-1.  Each aggregation, keyed by its
     members' choices, is built once per CompiledRule and shared by every
     query that reaches it.  A plain rule is compiled here.  Each subset of
-    the pieces is tried once.
+    the pieces is tried once, in preorder, from an explicit stack: a nested
+    recursive function would refer to itself through its closure, a cycle
+    that keeps the compiled rule alive until the cycle collector runs.
     """
     compiled = rule if isinstance(rule, CompiledRule) else CompiledRule(rule)
     base = sorted(single_piece_unifiers(q, compiled.copy(0)), key=lambda m: min(m.q_part))
     out: list[PieceUnifier] = []
-
-    def extend(choices: tuple, start: int) -> None:
-        # a failed aggregate stays failed under more members: parts overlap
-        # or the joined partition only merges more classes
-        for j in range(start, len(base)):
-            cand = choices + (base[j].choice,)
-            agg = compiled.aggregation(cand)
-            if agg is not None:
-                out.append(agg)
-                extend(cand, j + 1)
-
-    extend((), 0)
+    # (members' choices, next piece to try); a failed aggregate stays failed
+    # under more members: parts overlap or the joined partition only merges
+    # more classes, so only a found one is extended
+    stack = [((), 0)]
+    while stack:
+        choices, j = stack.pop()
+        if j == len(base):
+            continue
+        stack.append((choices, j + 1))
+        cand = choices + (base[j].choice,)
+        agg = compiled.aggregation(cand)
+        if agg is not None:
+            out.append(agg)
+            stack.append((cand, j + 1))
     return out
 
 

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from ucqrewrite import Atom, ConjunctiveQuery, ExistentialRule, atom, const, cq, rule, var
-from ucqrewrite.kb import AtomIndex
+from ucqrewrite.homomorphism import find_homomorphism
+from ucqrewrite.kb import AtomIndex, MatchPlan, apply_to_atoms
 
 DATA = Path(__file__).parent / "data"
 
@@ -50,6 +51,22 @@ def reference_homomorphisms(source, target, binding=None):
             yield from search(rest, nb)
 
     yield from search(list(source), dict(binding or {}))
+
+
+def reference_core(q: ConjunctiveQuery) -> ConjunctiveQuery:
+    """``homomorphism.core``'s retraction loop without its arc-consistency
+    pass, kept as an oracle for it: each atom left that shares its bucket is
+    tested, in sorted order, and the atoms become the first map's image."""
+    atoms, index, plan = q.atoms, q.index, q.plan
+    fixed = {v: v for v in q.answer_vars if v.is_variable}
+    for a in sorted(q.atoms):
+        if a not in atoms or len(index.buckets[(a.predicate, a.arity)]) == 1:
+            continue
+        h = find_homomorphism(plan, index.without(a), fixed)
+        if h is not None:
+            atoms = apply_to_atoms(h, atoms)
+            index, plan = AtomIndex(atoms), MatchPlan(atoms)
+    return ConjunctiveQuery(atoms, q.answer_vars)
 
 
 def random_linear_rules(

@@ -5,6 +5,7 @@ import tracemalloc
 from itertools import product
 from unittest.mock import patch
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ucqrewrite import (
@@ -29,9 +30,9 @@ from ucqrewrite import homomorphism, kb
 from ucqrewrite.homomorphism import AtomIndex, apply_to_atoms
 from ucqrewrite.kb import MatchPlan, terms_of, vars_of
 
-from conftest import reference_homomorphisms
+from conftest import reference_core, reference_homomorphisms
 
-x, y, z = var("x"), var("y"), var("z")
+x, y, z, u, w = var("x"), var("y"), var("z"), var("u"), var("w")
 a, b, c = const("a"), const("b"), const("c")
 
 
@@ -406,12 +407,48 @@ def test_long_chain_maps_without_recursion():
     assert time.perf_counter() - start < 5
 
 
-def test_core_of_a_30_atom_path_is_quick():
-    # a path is its own core; every atom shares the one bucket, so each is tested
-    path = cq(*[atom("r", var(f"V{i}"), var(f"V{i + 1}")) for i in range(30)])
+@pytest.mark.parametrize("n, name, bound", [
+    (30, lambda i: var(f"V{i}"), 5),
+    (100, lambda i: var(f"V{i}"), 1),
+    (100, lambda i: var("V", i), 1),
+], ids=["30-atoms-Vi", "100-atoms-Vi", "100-atoms-V-index"])
+def test_core_of_a_path_is_quick(n, name, bound):
+    # a path is its own core, and every atom shares the one bucket; forward
+    # checking alone backtracks here, more the more atoms there are
+    path = cq(*[atom("r", name(i), name(i + 1)) for i in range(n)])
     start = time.perf_counter()
     assert core(path).atoms == path.atoms
-    assert time.perf_counter() - start < 5
+    assert time.perf_counter() - start < bound
+
+
+core_atom_strategy = st.builds(
+    lambda p, ts: atom(p, *ts[:len(p)]),  # arity: p/1, qq/2, rrr/3
+    st.sampled_from(["p", "qq", "qq", "rrr"]),
+    st.lists(st.sampled_from([x, y, z, u, w, a, b]), min_size=3, max_size=3),
+)
+core_query_strategy = st.builds(
+    with_answers,
+    st.sets(core_atom_strategy, min_size=1, max_size=8),
+    st.lists(st.sampled_from([x, y, z, u, a]), max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(core_query_strategy)
+@example(cq(atom("qq", x, y), atom("qq", y, z), atom("qq", z, u), atom("qq", u, w)))
+@example(cq(atom("qq", x, y), atom("qq", y, x), atom("qq", x, z), answer_vars=(z,)))
+@example(cq(atom("qq", x, y), atom("qq", x, z), atom("p", y), atom("p", z), atom("p", w)))
+def test_core_is_the_reference_retraction(q):
+    # the arc-consistency pass only skips tests that fail, so the retract is
+    # the one the plain loop reaches, atom for atom
+    got = core(q)
+    want = reference_core(q)
+    assert (got.atoms, got.answer_vars) == (want.atoms, want.answer_vars)
+    if len(q.variables()) <= 4:
+        fixed = {v: v for v in q.answer_vars if v.is_variable}
+        whole = attach_answer_atom(q).atoms
+        for at in homomorphism.fixed_atoms(q.plan, q.index, fixed):
+            assert not brute_force_hom_exists(whole, whole - {at}), at
 
 
 def plan_state(plan):

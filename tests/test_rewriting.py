@@ -1,4 +1,5 @@
 """One-step rewriting, the breadth-first loop, guards, and saturation."""
+import gc
 import json
 import random
 from importlib import resources
@@ -413,6 +414,28 @@ def test_no_raw_rewriting_reaches_the_cover_twice(kind, monkeypatch):
         got = {"generated": res.generated_count, "output": len(res.cover),
                "depth": res.depth_reached}
         assert res.terminated and got == base[kind], base["query"]
+
+
+def test_aggregated_rewriting_leaves_no_cyclic_garbage():
+    # a reference cycle would keep a compiled rule, and its memos, alive until
+    # the cycle collector runs; with DEBUG_SAVEALL the collector keeps what it
+    # would free in gc.garbage
+    data = resources.files("ucqrewrite") / "data"
+    rules = parse_document((data / "ontology.dlgp").read_text()).rules
+    queries = parse_document((data / "queries.dlgp").read_text()).queries
+    flags = gc.get_debug()
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for q in queries:
+            res = rewrite(attach_answer_atom(q), rules, make_operator("aggregated"), Limits())
+            assert res.terminated
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
 
 
 def summary(res):
