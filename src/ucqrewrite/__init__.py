@@ -40,9 +40,7 @@ from .unification import (
     compile_rules,
     enumerate_aggregated,
     general_piece_unifiers,
-    partition_by_position,
     pieces,
-    separating_vars,
     single_piece_unifiers,
     validate_piece_unifier,
 )

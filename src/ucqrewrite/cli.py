@@ -47,6 +47,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _operators(text: str) -> list[str]:
     """compare's comma-separated --operators list."""
     operators = [o.strip() for o in text.split(",") if o.strip()]
+    if not operators:
+        raise DlgpError("no operator given")
     for o in operators:
         if o not in OPERATOR_KINDS:
             raise DlgpError(f"unknown operator {o!r}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .kb import (
     Atom,
@@ -141,10 +141,7 @@ class _Parser:
         if tok.kind != "lident":
             raise DlgpError(f"expected a predicate, found {tok.text!r}", tok.span)
         self.expect("(")
-        args = [self.term()]
-        while self.peek() and self.peek().text == ",":
-            self.next()
-            args.append(self.term())
+        args = self.comma_list(self.term)
         self.expect(")")
         a = Atom(tok.text, tuple(args))
         prev = self.arities.setdefault(a.predicate, a.arity)
@@ -153,12 +150,13 @@ class _Parser:
                             tok.span)
         return a
 
-    def atom_list(self) -> list[Atom]:
-        atoms = [self.atom()]
+    def comma_list(self, item: Callable) -> list:
+        """One item(), then one more after each ','."""
+        items = [item()]
         while self.peek() and self.peek().text == ",":
             self.next()
-            atoms.append(self.atom())
-        return atoms
+            items.append(item())
+        return items
 
     def statement(self, doc: Document, auto_label: int) -> int:
         start = self.peek().span
@@ -169,13 +167,10 @@ class _Parser:
             if self.peek() and self.peek().text == "(":
                 self.next()
                 if self.peek() and self.peek().text != ")":
-                    answer.append(self.term())
-                    while self.peek() and self.peek().text == ",":
-                        self.next()
-                        answer.append(self.term())
+                    answer = self.comma_list(self.term)
                 self.expect(")")
             self.expect(":-")
-            atoms = self.atom_list()
+            atoms = self.comma_list(self.atom)
             self.expect(".")
             qvars = vars_of(atoms)
             for t in answer:
@@ -191,7 +186,7 @@ class _Parser:
                 raise DlgpError(f"expected a rule label, found {name.text!r}", name.span)
             label = name.text
             self.expect("]")
-        first = self.atom_list()
+        first = self.comma_list(self.atom)
         nxt = self.next()
         if nxt.text == ".":
             if label is not None:
@@ -200,7 +195,7 @@ class _Parser:
             return auto_label
         if nxt.text != ":-":
             raise DlgpError(f"expected '.' or ':-', found {nxt.text!r}", nxt.span)
-        body = self.atom_list()
+        body = self.comma_list(self.atom)
         self.expect(".")
         if label is None:
             label = f"r{auto_label}"

@@ -319,10 +319,6 @@ class ExistentialRule:
         object.__setattr__(self, "existentials", hv - bv)
 
     @property
-    def has_atomic_head(self) -> bool:
-        return len(self.head) == 1
-
-    @property
     def head_atom(self) -> Atom:
         (h,) = self.head
         return h

@@ -94,7 +94,7 @@ class RewritingResult:
     generated_count: int = 0
     explored_count: int = 0
     depth_reached: int = 0
-    terminated: bool = True
+    terminated: bool = True  # no query is left to explore
 
 
 class InvariantViolation(AssertionError):
@@ -153,14 +153,12 @@ def rewrite(
     generated = 0
     explored = 0
     depth = 0
-    terminated = True
     # the raw rewritings given to cover so far, as fields only: a query would
     # keep its cached views alive
     seen: set[tuple] = set()
 
     while qe:
         if limits.max_depth is not None and depth >= limits.max_depth:
-            terminated = False
             break
         raw: list[ConjunctiveQuery] = []
         for cur in sorted(qe, key=ConjunctiveQuery.sort_key):
@@ -182,10 +180,8 @@ def rewrite(
         if debug_invariants:
             _check_invariants(qf, qe, op, rules)
         if limits.max_generated is not None and generated > limits.max_generated:
-            terminated = False
             break
         if limits.timeout is not None and time.monotonic() - start > limits.timeout:
-            terminated = False
             break
 
     return RewritingResult(
@@ -193,7 +189,7 @@ def rewrite(
         generated_count=generated,
         explored_count=explored,
         depth_reached=depth,
-        terminated=terminated,
+        terminated=not qe,
     )
 
 

@@ -120,13 +120,6 @@ def _separating(q: ConjunctiveQuery, part: frozenset[Atom],
     return [v for v in variables if not occurrences.get(v, frozenset()) <= part]
 
 
-def separating_vars(q: ConjunctiveQuery, q_part: Iterable[Atom]) -> frozenset[Term]:
-    q_part = frozenset(q_part)
-    if not q_part <= q.atoms:
-        raise ValueError("q_part must be a subset of the query")
-    return frozenset(_separating(q, q_part, vars_of(q_part)))
-
-
 def validate_piece_unifier(q: ConjunctiveQuery, mu: PieceUnifier) -> list[str]:
     """Return the list of violated piece-unifier conditions (empty if valid).
 
@@ -170,15 +163,6 @@ def pieces(atoms: Iterable[Atom], cutpoint_set: Iterable[Term]) -> list[frozense
     for i, a in enumerate(atoms):
         by_root.setdefault(root(i), set()).add(a)
     return sorted((frozenset(c) for c in by_root.values()), key=min)
-
-
-def partition_by_position(atoms: Iterable[Atom]) -> TermPartition:
-    """Merge terms appearing at the same argument position of one predicate."""
-    atoms = list(atoms)
-    preds = {(a.predicate, a.arity) for a in atoms}
-    if len(preds) > 1:
-        raise ValueError(f"mixed predicates: {sorted(preds)}")
-    return TermPartition(zip(*(a.args for a in atoms)))
 
 
 def _unifiable(pp: TermPartition, rule: ExistentialRule) -> bool:

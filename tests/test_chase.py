@@ -182,6 +182,18 @@ def test_verify_detects_missing_rewriting():
     assert report["counterexamples"]
 
 
+def test_verify_marks_an_unentailed_rewriting_unsound():
+    from ucqrewrite.rewriting import RewritingResult
+
+    r = rule("r", [atom("s", x)], [atom("t", x)])
+    q = cq(atom("t", u))
+    res = RewritingResult(cover={q, cq(atom("p", u))}, terminated=True)
+    report = verify_rewriting_set(q, [r], res, samples=0)
+    assert report["sound"] is False
+    assert [e["sound"] for e in report["rewritings"]] == [False, True]
+    assert report["rewritings"][0]["query"] == "? :- p(X0)."
+
+
 def test_verify_skips_completeness_when_guard_fired():
     from ucqrewrite.rewriting import RewritingResult
 

@@ -130,6 +130,22 @@ def test_guard_exit_code(capsys, tmp_path):
     assert json.loads(out)["stats"]["terminated"] is False
 
 
+def test_a_guard_crossed_on_the_last_level_is_not_a_partial_run(capsys, tmp_path):
+    # p <- q <- p: the level that generates the 2nd raw rewriting empties the frontier
+    rules = write(tmp_path, "loop.dlgp", "[r1] p(X) :- q(X).\n[r2] q(X) :- p(X).\n")
+    query = write(tmp_path, "q.dlgp", "? :- p(U).\n")
+    code, out, _ = run(capsys, "rewrite", "--rules", rules, "--query", query, "--json")
+    assert code == 0
+    full = json.loads(out)
+    code, out, _ = run(capsys, "rewrite", "--rules", rules, "--query", query,
+                       "--max-generated", "1", "--json")
+    assert code == 0 and json.loads(out) == full
+    assert full["stats"]["generated"] == 2 and full["stats"]["terminated"] is True
+    code, out, _ = run(capsys, "verify", "--rules", rules, "--query", query,
+                       "--max-generated", "1", "--samples", "5")
+    assert code == 0 and json.loads(out)["complete_sampled"] is not None
+
+
 def test_multi_atom_head_decomposition(capsys, tmp_path):
     rules = write(tmp_path, "m.dlgp", "[r1] p(X,Y), s(Y) :- q(X).\n")
     query = write(tmp_path, "q.dlgp", "? :- p(U,V), s(V).\n")
@@ -280,6 +296,25 @@ def test_compare_unknown_operator(capsys):
     code, _, err = run(capsys, "compare", "--rules", RULES, "--query", RULES,
                        "--operators", "bogus")
     assert code == 1
+
+
+@pytest.mark.parametrize("operators", [",", "", " , "])
+def test_compare_refuses_an_operator_list_that_names_none(capsys, operators):
+    code, out, err = run(capsys, "compare", "--rules", RULES, "--query", RULES,
+                         "--operators", operators)
+    assert code == 1 and out == ""
+    assert err == "error: no operator given\n"
+
+
+def test_compare_table_prints_a_refused_row(capsys, tmp_path):
+    # a five-atom head is beyond the full-piece oracle's size caps
+    rules = write(tmp_path, "m.dlgp", "[r1] p(X,Y), s(Y), t(Y), u(Y), w(Y) :- q(X).\n")
+    query = write(tmp_path, "q.dlgp", "? :- p(U,V), s(V).\n")
+    code, out, _ = run(capsys, "compare", "--rules", rules, "--query", query,
+                       "--operators", "aggregated,full-piece")
+    assert code == 0
+    row = next(line for line in out.splitlines() if line.startswith("full-piece"))
+    assert re.match(r"full-piece +- +- +- +-  refused: .*size caps", row)
 
 
 def test_debug_invariants_flag(capsys):

@@ -85,6 +85,23 @@ def test_syntax_error_position():
     assert e.value.span is not None
 
 
+@pytest.mark.parametrize("text, message", [
+    ("p(,X) :- q(X).", "expected a term, found ',' at 1:3"),
+    ("X(a).", "expected a predicate, found 'X' at 1:1"),
+    ("[?] p(X) :- q(X).", "expected a rule label, found '?' at 1:2"),
+    ("p(X) q(X).", "expected '.' or ':-', found 'q' at 1:6"),
+    # a ',' must be followed by another item in each comma-separated list
+    ("p(X,) :- q(X).", "expected a term, found ')' at 1:5"),
+    ("p(X), :- q(X).", "expected a predicate, found ':-' at 1:7"),
+    ("?(X,) :- p(X).", "expected a term, found ')' at 1:5"),
+    ("? :- p(X),", "unexpected end of input at 1:10"),
+])
+def test_parse_error_message_and_position(text, message):
+    with pytest.raises(DlgpError) as e:
+        parse_document(text)
+    assert str(e.value) == message
+
+
 def test_unexpected_character():
     with pytest.raises(DlgpError):
         parse_document("p(X) := q(X).\n")

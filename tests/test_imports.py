@@ -1,11 +1,14 @@
-"""Every name a package module imports is used in that module, and every
-module-level private name it defines is referenced somewhere in the package."""
+"""Every name a package module imports is used in that module, every
+module-level private name it defines is referenced somewhere in the package,
+and every public definition is read by the package, the benchmark or the
+scripts, or is on an allow-list with its reason."""
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ucqrewrite"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ucqrewrite"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -73,6 +76,66 @@ def test_checker_finds_unreferenced_private_names():
 def test_no_unreferenced_private_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def public_definitions(tree: ast.Module) -> dict[str, str]:
+    """Public top-level function and class names, and the public methods of
+    top-level classes as Class.method, each -> the name a reader reads."""
+    out = {}
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            out[node.name] = node.name
+        if isinstance(node, ast.ClassDef):
+            out |= {f"{node.name}.{m.name}": m.name for m in node.body
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not m.name.startswith("_")}
+    return out
+
+
+def unread_public_names(defining: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """The public definitions in the defining sources that no reader reads
+    as a name or an attribute."""
+    used = set().union(*(references(ast.parse(s)) for s in readers.values()))
+    return sorted(name for source in defining.values()
+                  for name, read_as in public_definitions(ast.parse(source)).items()
+                  if read_as not in used)
+
+
+def test_checker_finds_unread_public_names():
+    sources = {"a.py": "def used():\n    pass\n\ndef unused():\n    pass\n\n"
+                       "class Box:\n    def get(self):\n        pass\n\n"
+                       "    def put(self):\n        pass\n\n    def _own(self):\n        pass\n\n"
+                       "class _Hidden:\n    def peek(self):\n        pass\n",
+               "b.py": "from a import Box, used, unused\n\nused()\nBox().get()\n"}
+    # importing unused is not reading it, as a re-export in __init__ is not
+    readers = {"b.py": sources["b.py"]}
+    assert unread_public_names(sources, readers) == ["Box.put", "_Hidden.peek", "unused"]
+
+
+# public definitions that no package module, benchmark or script reads, each
+# with what keeps it; a helper that only its own test calls is not on this list
+UNREAD_PUBLIC = {
+    "Document.fact_atoms": "the facts of a parsed document as one set, for callers that chase them",
+    "equivalent": "homomorphic equivalence, the reference the tests compare covers by",
+    "isomorphic": "isomorphism by canonical form, the reference the tests compare queries by",
+    "cq": "the query constructor the tests and library callers build queries with",
+    "ExistentialRule.head_atom": "the one head atom of an atomic-head rule, asserted by tests",
+    "TermPartition.same_class": "class membership, the partition tests' observable",
+    "saturate": "un-pruned k-saturation, the reference the cover is checked against",
+    "PieceUnifier.cutpoints": "the paper's cutpoints, with pieces() the single-piece reference",
+    "pieces": "the paper's pieces, the reference the single-piece unifiers are checked against",
+}
+
+
+def test_every_public_definition_is_read_or_allowed():
+    defining = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    # __init__ only re-exports: a re-export is not a read
+    readers = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+               for p in [*MODULES, *sorted((ROOT / "bench").glob("*.py")),
+                         *sorted((ROOT / "scripts").glob("*.py"))]}
+    assert unread_public_names(defining, readers) == sorted(UNREAD_PUBLIC)
 
 
 # module -> the package modules it may import.  Each imports only modules

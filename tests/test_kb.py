@@ -142,7 +142,6 @@ def test_rule_frontier_and_existentials():
     r = rule("r", [atom("q", x)], [atom("p", x, y)])
     assert r.frontier == {x}
     assert r.existentials == {y}
-    assert r.has_atomic_head
 
 
 def test_a_predicate_with_two_arities_is_rejected_at_the_second_atom():
@@ -201,6 +200,13 @@ def test_answer_atom_round_trip():
     bcq = attach_answer_atom(q)
     assert bcq.is_boolean
     assert strip_answer_atom(bcq) == q
+
+
+def test_answer_atom_is_refused_where_it_would_be_ambiguous():
+    with pytest.raises(ValueError, match="already present"):
+        attach_answer_atom(cq(atom("p", x), atom(ANS_PREDICATE, x), answer_vars=(x,)))
+    with pytest.raises(ValueError, match="multiple"):
+        strip_answer_atom(cq(atom(ANS_PREDICATE, x), atom(ANS_PREDICATE, y)))
 
 
 def test_canonicalize_idempotent_and_invariant():

@@ -224,6 +224,19 @@ def test_timeout_guard():
     assert not res.terminated
 
 
+def test_a_guard_crossed_on_the_level_that_empties_the_frontier_reports_termination():
+    # p <- q <- p: two raw rewritings, after which no query is left to explore
+    rules = [rule("r1", [atom("q", x)], [atom("p", x)]),
+             rule("r2", [atom("p", x)], [atom("q", x)])]
+    q = cq(atom("p", u))
+    full = rewrite(q, rules, make_operator("aggregated"))
+    bounded = rewrite(q, rules, make_operator("aggregated"),
+                      Limits(max_generated=1, timeout=None))
+    assert full.terminated and full.generated_count == 2
+    assert bounded.terminated and bounded.generated_count == 2 > 1
+    assert bounded.cover == full.cover
+
+
 def test_reflexive_specialization_needs_multi_piece():
     r = rule("r", [atom("r", x, x)], [atom("p", x, x)])
     q = cq(atom("p", y, z), atom("p", z, y))
@@ -250,6 +263,14 @@ def test_debug_invariants_detects_bad_operator():
     with pytest.raises(InvariantViolation, match="uncovered"):
         # q0 explored but its rewriting q(x) is not covered
         _check_invariants(qf, set(), make_operator("aggregated"), [r])
+
+
+def test_debug_invariants_detects_a_frontier_outside_the_result_set():
+    from ucqrewrite.rewriting import _check_invariants
+
+    q0 = canonicalize(cq(atom("p", u)))
+    with pytest.raises(InvariantViolation, match="frontier not contained in result set"):
+        _check_invariants(set(), {q0}, make_operator("aggregated"), [])
 
 
 def test_debug_invariants_detects_comparable_result_set():

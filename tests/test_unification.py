@@ -16,10 +16,8 @@ from ucqrewrite import (
     cq,
     enumerate_aggregated,
     general_piece_unifiers,
-    partition_by_position,
     pieces,
     rule,
-    separating_vars,
     single_piece_unifiers,
     unification,
     validate_piece_unifier,
@@ -43,29 +41,12 @@ def unifier_set(mus):
     }
 
 
-def test_separating_vars():
-    q = cq(atom("p", u, v), atom("p", w, v), atom("r", u, w))
-    assert separating_vars(q, {atom("p", u, v), atom("p", w, v)}) == {u, w}
-    assert separating_vars(q, {atom("r", u, w)}) == {u, w}
-    with pytest.raises(ValueError):
-        separating_vars(q, {atom("s", u)})
-
-
 def test_pieces_glued_by_non_cutpoints():
     atoms = {atom("p", u, v), atom("p", w, v), atom("p", w, t)}
     # v,w are glue when not cutpoints: one piece
     assert pieces(atoms, {u, t}) == [frozenset(atoms)]
     # all variables cut: each atom is its own piece
     assert len(pieces(atoms, {u, v, w, t})) == 3
-
-
-def test_partition_by_position():
-    p = partition_by_position([atom("p", u, v), atom("p", w, v), atom("p", x, y)])
-    assert p.as_sets() == {frozenset({u, w, x}), frozenset({v, y})}
-    with pytest.raises(ValueError):
-        partition_by_position([atom("p", u), atom("q", u)])
-    with pytest.raises(ValueError):
-        partition_by_position([atom("p", u), atom("p", u, v)])
 
 
 def test_single_unifier_merging_two_atoms():
@@ -417,6 +398,11 @@ def test_aggregate_rejects_overlapping_parts():
     m1 = single_piece_unifiers(q, freshen_rule(r, c))[0]
     m2 = single_piece_unifiers(q, freshen_rule(r, c))[0]
     assert aggregate([m1, m2]) is None
+
+
+def test_aggregate_needs_a_member():
+    with pytest.raises(ValueError, match="at least one member"):
+        aggregate([])
 
 
 def test_single_piece_results_are_valid_and_agree_with_oracle():
