@@ -1,16 +1,23 @@
 """Immutable term partitions: the carrier of unification state."""
 from __future__ import annotations
 
-from typing import Iterable
+from bisect import insort
+from typing import Iterable, Optional
 
 from .kb import Substitution, Term
+
+
+def _admissible(cls: frozenset[Term]) -> bool:
+    return sum(1 for t in cls if t.is_constant) <= 1
 
 
 class TermPartition:
     """Partition of a finite term set: term groups that share a term are merged.
 
-    The partition never changes after construction, so its classes are
-    computed once, sorted by their least term.
+    The partition never changes after construction, so its classes, sorted
+    by their least term, its carrier and whether it is admissible are
+    computed once, when it is built, and its associated substitution on
+    first use.
     """
 
     def __init__(self, groups: Iterable[Iterable[Term]] = ()):
@@ -32,12 +39,17 @@ class TermPartition:
         by_root: dict[Term, set[Term]] = {}
         for t in parent:
             by_root.setdefault(find(t), set()).add(t)
-        self._classes = tuple(sorted((frozenset(c) for c in by_root.values()), key=min))
-        self._class_of = {t: c for c in self._classes for t in c}
+        classes = sorted((frozenset(c) for c in by_root.values()), key=min)
+        self._set(classes, {t: c for c in classes for t in c},
+                  all(_admissible(c) for c in classes))
 
-    @property
-    def carrier(self) -> frozenset[Term]:
-        return frozenset(self._class_of)
+    def _set(self, classes: list[frozenset[Term]], class_of: dict[Term, frozenset[Term]],
+             admissible: bool) -> None:
+        self._classes = tuple(classes)
+        self._class_of = class_of
+        self.carrier: frozenset[Term] = frozenset(class_of)
+        self.admissible = admissible
+        self._substitution: Optional[Substitution] = None
 
     def same_class(self, a: Term, b: Term) -> bool:
         return a in self._class_of and b in self._class_of[a]
@@ -62,13 +74,33 @@ class TermPartition:
 
 
 def join(p1: TermPartition, p2: TermPartition) -> TermPartition:
-    """Union of non-disjoint classes until stability; carrier is the union."""
-    return TermPartition(p1.classes() + p2.classes())
+    """Union of non-disjoint classes until stability; carrier is the union.
+
+    p2's classes are merged into a copy of p1's class map, one at a time, so
+    only the classes they touch are rebuilt.  The join is admissible exactly
+    when p1 and p2 are and each merged class holds at most one constant."""
+    class_of = dict(p1._class_of)
+    classes = list(p1._classes)
+    admissible = p1.admissible and p2.admissible
+    for c in p2._classes:
+        touched = {class_of[t] for t in c if t in class_of}
+        if len(touched) == 1 and c <= next(iter(touched)):
+            continue  # already inside one class
+        merged = c.union(*touched)
+        for old in touched:
+            classes.remove(old)
+        insort(classes, merged, key=min)
+        for t in merged:
+            class_of[t] = merged
+        admissible = admissible and _admissible(merged)
+    out = TermPartition.__new__(TermPartition)
+    out._set(classes, class_of, admissible)
+    return out
 
 
 def is_admissible(p: TermPartition) -> bool:
-    """No class holds two distinct constants."""
-    return all(sum(1 for t in c if t.is_constant) <= 1 for c in p.classes())
+    """No class holds two distinct constants: read off p, where it is stored."""
+    return p.admissible
 
 
 def finer_than(p1: TermPartition, p2: TermPartition) -> bool:
@@ -79,13 +111,19 @@ def finer_than(p1: TermPartition, p2: TermPartition) -> bool:
 
 
 def associated_substitution(p: TermPartition) -> Substitution:
-    """Map each term to its class minimum (constants win by the term order)."""
-    if not is_admissible(p):
+    """Map each term to its class minimum (constants win by the term order).
+
+    The mapping is computed on p's first call and stored on p: every later
+    call, for p or for any unifier over it, returns the same dict, so no
+    caller may change it."""
+    if not p.admissible:
         raise ValueError("partition is not admissible")
-    sub: Substitution = {}
-    for cls in p.classes():
-        rep = min(cls)
-        for t in cls:
-            if t != rep and t.is_variable:
-                sub[t] = rep
+    sub = p._substitution
+    if sub is None:
+        sub = p._substitution = {}
+        for cls in p._classes:
+            rep = min(cls)
+            for t in cls:
+                if t != rep and t.is_variable:
+                    sub[t] = rep
     return sub

@@ -3,7 +3,6 @@ with any head, aggregation of compatible unifiers, and an exhaustive oracle."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product
 from typing import Iterable, Optional, Union
 
@@ -52,7 +51,9 @@ class PieceUnifier:
 
     @memo
     def substitution(self) -> Substitution:
-        """The partition's associated substitution."""
+        """The partition's associated substitution: the mapping stored on the
+        partition, shared with every unifier over it, so no caller may change
+        it."""
         return associated_substitution(self.partition)
 
     @memo
@@ -166,14 +167,18 @@ def pieces(atoms: Iterable[Atom], cutpoint_set: Iterable[Term]) -> list[frozense
 
 
 def _unifiable(pp: TermPartition, rule: ExistentialRule) -> bool:
+    """pp is admissible, and a class with an existential variable holds no
+    other existential variable, no constant and no frontier variable."""
+    if not is_admissible(pp):
+        return False
     ex = rule.existentials
+    if ex.isdisjoint(pp.carrier):
+        return True
     fr = rule.frontier
     for cls in pp.classes():
-        n_const = sum(1 for t in cls if t.is_constant)
-        n_ex = len(cls & ex)
-        if n_const > 1 or n_ex > 1:
-            return False
-        if n_ex and (n_const or cls & fr):
+        in_ex = cls & ex
+        if in_ex and (len(in_ex) > 1 or not cls.isdisjoint(fr)
+                      or any(t.is_constant for t in cls)):
             return False
     return True
 
@@ -231,7 +236,10 @@ class CompiledRule:
         return self._copies[k]
 
     def aggregated(self, m: int) -> ExistentialRule:
-        """aggregate_rules over copies 0..m-1."""
+        """aggregate_rules over copies 0..m-1; copy 0's rule itself for m = 1,
+        as aggregate_rules of one rule equals that rule."""
+        if m == 1:
+            return self.copy(0).rule
         agg = self._aggregated.get(m)
         if agg is None:
             agg = self._aggregated[m] = aggregate_rules([self.copy(k).rule for k in range(m)])
@@ -241,13 +249,24 @@ class CompiledRule:
         """aggregate over the unifier of choices[k] on copy k, for each k, and
         the aggregated rule; memoized by the choices, a failure too.  Nothing
         here reads a query: whether the result is valid for one is beta's to
-        check."""
+        check.
+
+        An aggregation of m >= 2 members extends the aggregation of its first
+        m - 1 choices, itself memoized here, by its last member: one overlap
+        test and one join.  A failed prefix fails every extension, as its
+        parts overlap or its partition is not admissible, and a join only
+        merges more classes."""
         try:
             return self._aggregations[choices]
         except KeyError:
-            members = [self.copy(k).unifier(c) for k, c in enumerate(choices)]
-            agg = self._aggregations[choices] = aggregate(
-                members, self.aggregated(len(choices)))
+            m = len(choices)
+            member = self.copy(m - 1).unifier(choices[-1])
+            if m == 1:
+                agg = aggregate([member], self.aggregated(1))
+            else:
+                prefix = self.aggregation(choices[:-1])
+                agg = prefix and _extended(prefix, member, self.aggregated(m))
+            self._aggregations[choices] = agg
             return agg
 
 
@@ -381,27 +400,40 @@ def aggregate_rules(rules: list[ExistentialRule]) -> ExistentialRule:
     return ExistentialRule(label, body, head)
 
 
+def _extended(agg: PieceUnifier, member: PieceUnifier,
+              rule: ExistentialRule) -> Optional[PieceUnifier]:
+    """agg with member merged in, over rule; None when their query parts
+    overlap or the joined partition is not admissible."""
+    if not agg.q_part.isdisjoint(member.q_part):
+        return None
+    joined = join(agg.partition, member.partition)
+    if not is_admissible(joined):
+        return None
+    return PieceUnifier(agg.q_part | member.q_part, agg.h_part | member.h_part, joined, rule,
+                        members=agg.members + (member,))
+
+
 def aggregate(
     members: list[PieceUnifier], rule: Optional[ExistentialRule] = None
 ) -> Optional[PieceUnifier]:
     """Merge compatible unifiers into one over their aggregated rule, with them
     as its members; None when parts overlap or the join breaks.
 
-    rule is aggregate_rules over the members' rules, built here when not given.
+    The merge is CompiledRule.aggregation's step, folded over the list.  rule
+    is aggregate_rules over the members' rules, built here when not given,
+    which refuses members whose rules share a variable.
     """
     if not members:
         raise ValueError("aggregate needs at least one member")
-    taken: set[Atom] = set()
-    for m in members:
-        if m.q_part & taken:
+    if rule is None:
+        rule = aggregate_rules([m.rule for m in members])
+    first = members[0]
+    agg = PieceUnifier(first.q_part, first.h_part, first.partition, rule, members=(first,))
+    for m in members[1:]:
+        agg = _extended(agg, m, rule)
+        if agg is None:
             return None
-        taken |= m.q_part
-    joined = reduce(join, [m.partition for m in members])
-    if not is_admissible(joined):
-        return None
-    agg_rule = rule if rule is not None else aggregate_rules([m.rule for m in members])
-    return PieceUnifier(frozenset(taken), frozenset(a for m in members for a in m.h_part),
-                        joined, agg_rule, members=tuple(members))
+    return agg
 
 
 def enumerate_aggregated(

@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
-from ucqrewrite import Atom, ConjunctiveQuery, ExistentialRule, atom, const, cq, rule, var
+from ucqrewrite import (
+    Atom, ConjunctiveQuery, ExistentialRule, PieceUnifier, TermPartition, aggregate_rules, atom,
+    const, cq, rule, var)
 from ucqrewrite.homomorphism import find_homomorphism
 from ucqrewrite.kb import AtomIndex, MatchPlan, apply_to_atoms
 
@@ -67,6 +70,26 @@ def reference_core(q: ConjunctiveQuery) -> ConjunctiveQuery:
             atoms = apply_to_atoms(h, atoms)
             index, plan = AtomIndex(atoms), MatchPlan(atoms)
     return ConjunctiveQuery(atoms, q.answer_vars)
+
+
+def reference_aggregate(members: list[PieceUnifier]) -> PieceUnifier | None:
+    """The from-scratch merge ``unification.aggregate`` made before each
+    aggregation extended its prefix, kept as an oracle for it: the parts must
+    be disjoint, the partitions are joined pairwise by union-find over all of
+    their classes, the join must hold at most one constant a class, and the
+    rule is aggregate_rules over the members' rules."""
+    taken: set[Atom] = set()
+    for m in members:
+        if m.q_part & taken:
+            return None
+        taken |= m.q_part
+    joined = reduce(lambda p1, p2: TermPartition(p1.classes() + p2.classes()),
+                    [m.partition for m in members])
+    if any(sum(1 for t in c if t.is_constant) > 1 for c in joined.classes()):
+        return None
+    return PieceUnifier(frozenset(taken), frozenset(a for m in members for a in m.h_part),
+                        joined, aggregate_rules([m.rule for m in members]),
+                        members=tuple(members))
 
 
 def random_linear_rules(

@@ -132,6 +132,28 @@ def components(groups):
 groups = st.lists(st.lists(st.sampled_from(term_pool), max_size=4), max_size=6)
 
 
+def substitution_or_error(p):
+    try:
+        return associated_substitution(p)
+    except ValueError as e:
+        return str(e)
+
+
+def assert_stored_facts_hold(p):
+    """carrier, admissibility and the associated substitution, as stored on
+    p, against their recomputation from p's classes."""
+    classes = p.classes()
+    assert p.carrier == frozenset().union(*classes)
+    admissible = all(sum(1 for t in c if t.is_constant) <= 1 for c in classes)
+    assert is_admissible(p) == admissible
+    if not admissible:
+        assert substitution_or_error(p) == "partition is not admissible"
+        return
+    sub = associated_substitution(p)
+    assert sub == {t: min(c) for c in classes for t in c if t != min(c) and t.is_variable}
+    assert associated_substitution(p) is sub
+
+
 @given(groups, groups)
 def test_partition_is_the_components_of_its_groups(g1, g2):
     p1, p2 = TermPartition(g1), TermPartition(g2)
@@ -140,5 +162,13 @@ def test_partition_is_the_components_of_its_groups(g1, g2):
     assert p1.classes() == sorted(p1.as_sets(), key=min)
     for t in p1.carrier:
         assert p1.class_of(t) == next(c for c in components(g1) if t in c)
-    joined = join(p1, p2).as_sets()
-    assert joined == components(p1.classes() + p2.classes()) == components(g1 + g2)
+    assert_stored_facts_hold(p1)
+    j = join(p1, p2)
+    assert j.as_sets() == components(p1.classes() + p2.classes()) == components(g1 + g2)
+    assert_stored_facts_hold(j)
+    # the join merged into p1's classes is the partition of both groups built at once
+    whole = TermPartition(g1 + g2)
+    assert j.classes() == whole.classes()
+    assert all(j.class_of(t) == whole.class_of(t) for t in whole.carrier)
+    assert is_admissible(j) == is_admissible(whole)
+    assert substitution_or_error(j) == substitution_or_error(whole)

@@ -1,12 +1,17 @@
 """Piece-unifiers: validity conditions, pieces, the single-piece algorithm,
 aggregation, and agreement with the exhaustive enumeration."""
+import importlib.util
+import json
 import random
+import sys
 from dataclasses import FrozenInstanceError, fields
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ucqrewrite import (
+    Limits,
     PieceUnifier,
     TermPartition,
     aggregate,
@@ -16,7 +21,10 @@ from ucqrewrite import (
     cq,
     enumerate_aggregated,
     general_piece_unifiers,
+    make_operator,
+    parse_document,
     pieces,
+    rewrite,
     rule,
     single_piece_unifiers,
     unification,
@@ -24,10 +32,18 @@ from ucqrewrite import (
     var,
 )
 from ucqrewrite.kb import (
-    Atom, FreshCounter, apply_to_atoms, freshen_rule, memo, terms_of, vars_of)
+    Atom, FreshCounter, apply_to_atoms, attach_answer_atom, freshen_rule, memo, terms_of,
+    vars_of)
 from ucqrewrite.partition import associated_substitution, is_admissible
 from ucqrewrite.unification import CompiledRule, RuleBase, RuleCopy
-from conftest import random_linear_rules, random_query
+from conftest import (
+    random_linear_rules, random_multi_head_instance, random_query, reference_aggregate)
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+# the benchmark's diamond chains; its dataclasses need the module registered
+_spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+workloads = sys.modules["bench_workloads"] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 x, y, z, t, u, v, w = (var(n) for n in "xyztuvw")
 a, b = const("a"), const("b")
@@ -323,15 +339,21 @@ def test_aggregation_on_pair_merge_query():
     assert len(two.rule.body) == 2
 
 
-def test_aggregations_are_every_compatible_subset_of_the_base_parts():
-    # constants in the head and the query make some joins inadmissible
+def two_constant_cases(count):
+    """(query, rule) pairs over the constants a and b, in the head and the
+    query, so that some joins put both in one class and are not admissible."""
     rng = random.Random(5)
     pool = [var("U0"), var("U1"), a, b]
-    for _ in range(400):
+    for _ in range(count):
         head = atom("p", *(rng.choice([var("X0"), var("X0"), var("Y"), a]) for _ in range(2)))
         r = rule("r", [atom("q", var("X0"), var("X1"))], [head])
         q = cq(*(atom(rng.choice("pps"), rng.choice(pool), rng.choice(pool))
                  for _ in range(rng.randint(1, 5))))
+        yield q, r
+
+
+def test_aggregations_are_every_compatible_subset_of_the_base_parts():
+    for q, r in two_constant_cases(400):
         got = [tuple(m.q_part for m in ag.members) for ag in enumerate_aggregated(q, r)]
         c = FreshCounter()
         base = single_piece_unifiers(q, freshen_rule(r, c))
@@ -403,6 +425,75 @@ def test_aggregate_rejects_overlapping_parts():
 def test_aggregate_needs_a_member():
     with pytest.raises(ValueError, match="at least one member"):
         aggregate([])
+
+
+def aggregation_inputs():
+    """(query, rule) pairs: the 4-, 5- and 6-link diamond chains, the
+    two-constant cases, and for seeds 0-299 of random_multi_head_instance the
+    query and up to five queries of its depth-2 cover, each with each rule."""
+    yield from two_constant_cases(400)
+    for n in (4, 5, 6):
+        doc = parse_document(workloads.diamond_text(n))
+        yield attach_answer_atom(doc.queries[0]), doc.rules[0]
+    for seed in range(300):
+        rules, q = random_multi_head_instance(random.Random(seed))
+        res = rewrite(q, rules, make_operator("aggregated"),
+                      Limits(max_depth=2, max_generated=100, timeout=None))
+        queries = [q] + sorted(res.cover, key=lambda c: c.sort_key())[:5]
+        for qq in queries:
+            for r in rules:
+                yield attach_answer_atom(qq), r
+
+
+def test_each_aggregation_extending_its_prefix_equals_the_from_scratch_merge():
+    seen = {1: 0, 2: 0, 3: 0}
+    clashes = 0
+    for q, r in aggregation_inputs():
+        compiled = CompiledRule(r)
+        found = enumerate_aggregated(q, compiled)
+        base = sorted(single_piece_unifiers(q, compiled.copy(0)), key=lambda m: min(m.q_part))
+        assert len(base) <= 8
+        built = []
+        # every subset of the pieces, in piece order: the compatible ones are
+        # the ones enumerate_aggregated found, and a failed prefix fails too
+        for mask in range(1, 1 << len(base)):
+            choices = tuple(m.choice for i, m in enumerate(base) if mask >> i & 1)
+            members = [compiled.copy(k).unifier(c) for k, c in enumerate(choices)]
+            agg, ref = compiled.aggregation(choices), reference_aggregate(members)
+            assert (agg is None) == (ref is None)
+            if agg is None:
+                overlap = len(frozenset().union(*(m.q_part for m in members))) < sum(
+                    len(m.q_part) for m in members)
+                clashes += not overlap
+                continue
+            built.append(agg)
+            assert agg.members == ref.members and len(agg.members) == len(choices)
+            assert agg.q_part == ref.q_part and agg.h_part == ref.h_part
+            assert agg.partition.classes() == ref.partition.classes()
+            assert agg.rule == ref.rule
+            assert agg.checks == ref.checks
+            assert agg.substitution == ref.substitution
+            assert agg.body_image == ref.body_image
+            seen[min(len(choices), 3)] += 1
+        assert sorted(map(id, found)) == sorted(map(id, built))
+    # aggregations of 2 and of 3+ members, and joins refused for two constants
+    assert seen[2] > 500 and seen[3] > 150 and clashes > 30
+
+
+def test_the_six_link_diamond_joins_once_per_multi_member_aggregation(monkeypatch):
+    calls = []
+    join = unification.join
+    monkeypatch.setattr(unification, "join", lambda p1, p2: calls.append(1) or join(p1, p2))
+    doc = parse_document(workloads.diamond_text(6))
+    res = rewrite(attach_answer_atom(doc.queries[0]), doc.rules, make_operator("aggregated"),
+                  Limits(max_generated=100_000, timeout=None))
+    # 2^6 - 1 aggregations of the 6 link pieces, 6 of them with one member;
+    # joining each from scratch made 129
+    assert len(calls) == 2 ** 6 - 1 - 6 == 57
+    reference = json.loads((BENCH / "reference.json").read_text())["diamond"]["n=6 aggregated"]
+    assert reference == {"generated": 63, "output": 2, "depth": 1}
+    assert {"generated": res.generated_count, "output": len(res.cover),
+            "depth": res.depth_reached} == reference
 
 
 def test_single_piece_results_are_valid_and_agree_with_oracle():
