@@ -35,7 +35,6 @@ from .partition import (
 )
 from .unification import (
     PieceUnifier,
-    aggregate,
     aggregate_rules,
     compile_rules,
     enumerate_aggregated,

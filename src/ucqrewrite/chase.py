@@ -226,11 +226,12 @@ def verify_rewriting_set(
 
     if result.terminated:
         rng = random.Random(seed)
+        body = strip_answer_atom(q)
         preds: dict[str, int] = {}
         for r in rules:
             for a in list(r.body) + list(r.head):
                 preds.setdefault(a.predicate, a.arity)
-        for a in q.atoms:
+        for a in body.atoms:
             preds.setdefault(a.predicate, a.arity)
         fact_bases = [
             frozenset(chase(
@@ -240,16 +241,17 @@ def verify_rewriting_set(
         ]
         if extra_facts is not None:
             fact_bases.extend(frozenset(f) for f in extra_facts)
-        body = strip_answer_atom(q)
         for f in fact_bases:
-            # the certain answers: body matches into the chase, with no null it made
             known = terms_of(f)
+            # a cover query's answer atom may match only the answer under test
+            data = frozenset(a for a in f if a.predicate != ANS_PREDICATE)
+            # the certain answers: body matches into the chase, with no null it made
             answers = {tuple(h.get(t, t) for t in body.answer_vars)
                        for h in homomorphisms(body.plan, chase(f, rules, base_rank).index)}
             for ans in sorted(answers):
                 if any(_null_number(t) >= 0 and t not in known for t in ans):
                     continue
-                index = AtomIndex(f | {Atom(ANS_PREDICATE, ans)})
+                index = AtomIndex(data | {Atom(ANS_PREDICATE, ans)})
                 if not any(find_homomorphism(qi.plan, index) is not None for qi in ucq):
                     report["complete_sampled"] = False
                     report["counterexamples"].append(sorted(str(a) for a in f))

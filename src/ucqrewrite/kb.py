@@ -51,9 +51,6 @@ class Term(tuple):
     name = property(itemgetter(1))
     fresh_index = property(lambda self: None if self[2] < 0 else self[2])
 
-    def sort_key(self) -> "Term":
-        return self
-
     def __repr__(self) -> str:
         return f"Term{self.__getnewargs__()!r}"
 
@@ -87,12 +84,6 @@ class Atom(tuple):
 
     def variables(self) -> frozenset[Term]:
         return frozenset(t for t in self[2] if t.is_variable)
-
-    def constants(self) -> frozenset[Term]:
-        return frozenset(t for t in self[2] if t.is_constant)
-
-    def sort_key(self) -> "Atom":
-        return self
 
     def __repr__(self) -> str:
         return f"Atom{self.__getnewargs__()!r}"

@@ -1,7 +1,6 @@
 """Immutable term partitions: the carrier of unification state."""
 from __future__ import annotations
 
-from bisect import insort
 from typing import Iterable, Optional
 
 from .kb import Substitution, Term
@@ -9,6 +8,18 @@ from .kb import Substitution, Term
 
 def _admissible(cls: frozenset[Term]) -> bool:
     return sum(1 for t in cls if t.is_constant) <= 1
+
+
+def _merge(class_of: dict[Term, frozenset[Term]], group: Iterable[Term]) -> None:
+    """Replace every class of class_of, a map from each term to its class,
+    that the group touches by their union with the group."""
+    group = frozenset(group)
+    touched = {class_of[t] for t in group if t in class_of}
+    if len(touched) == 1 and group <= next(iter(touched)):
+        return  # already inside one class
+    merged = group.union(*touched)
+    for t in merged:
+        class_of[t] = merged
 
 
 class TermPartition:
@@ -21,34 +32,17 @@ class TermPartition:
     """
 
     def __init__(self, groups: Iterable[Iterable[Term]] = ()):
-        parent: dict[Term, Term] = {}
-
-        def find(t: Term) -> Term:
-            while parent[t] != t:
-                parent[t] = t = parent[parent[t]]  # path halving
-            return t
-
+        class_of: dict[Term, frozenset[Term]] = {}
         for group in groups:
-            group = list(group)
-            for t in group:
-                parent.setdefault(t, t)
-            for t in group[1:]:
-                ra, rb = find(group[0]), find(t)
-                if ra != rb:
-                    parent[rb] = ra
-        by_root: dict[Term, set[Term]] = {}
-        for t in parent:
-            by_root.setdefault(find(t), set()).add(t)
-        classes = sorted((frozenset(c) for c in by_root.values()), key=min)
-        self._set(classes, {t: c for c in classes for t in c},
-                  all(_admissible(c) for c in classes))
+            _merge(class_of, group)
+        self._set(class_of)
 
-    def _set(self, classes: list[frozenset[Term]], class_of: dict[Term, frozenset[Term]],
-             admissible: bool) -> None:
+    def _set(self, class_of: dict[Term, frozenset[Term]]) -> None:
+        classes = sorted(set(class_of.values()), key=min)
         self._classes = tuple(classes)
         self._class_of = class_of
         self.carrier: frozenset[Term] = frozenset(class_of)
-        self.admissible = admissible
+        self.admissible = all(_admissible(c) for c in classes)
         self._substitution: Optional[Substitution] = None
 
     def same_class(self, a: Term, b: Term) -> bool:
@@ -77,24 +71,12 @@ def join(p1: TermPartition, p2: TermPartition) -> TermPartition:
     """Union of non-disjoint classes until stability; carrier is the union.
 
     p2's classes are merged into a copy of p1's class map, one at a time, so
-    only the classes they touch are rebuilt.  The join is admissible exactly
-    when p1 and p2 are and each merged class holds at most one constant."""
+    only the classes they touch are rebuilt."""
     class_of = dict(p1._class_of)
-    classes = list(p1._classes)
-    admissible = p1.admissible and p2.admissible
     for c in p2._classes:
-        touched = {class_of[t] for t in c if t in class_of}
-        if len(touched) == 1 and c <= next(iter(touched)):
-            continue  # already inside one class
-        merged = c.union(*touched)
-        for old in touched:
-            classes.remove(old)
-        insort(classes, merged, key=min)
-        for t in merged:
-            class_of[t] = merged
-        admissible = admissible and _admissible(merged)
+        _merge(class_of, c)
     out = TermPartition.__new__(TermPartition)
-    out._set(classes, class_of, admissible)
+    out._set(class_of)
     return out
 
 

@@ -46,7 +46,7 @@ class PieceUnifier:
     rule: ExistentialRule
     # the (query atom, head position) pairs, when built by a RuleCopy
     choice: tuple = ()
-    # the merged unifiers, in copy order, when built by aggregate
+    # the merged unifiers, in copy order, when built by CompiledRule.aggregation
     members: tuple[PieceUnifier, ...] = ()
 
     @memo
@@ -142,28 +142,16 @@ def validate_piece_unifier(q: ConjunctiveQuery, mu: PieceUnifier) -> list[str]:
 
 
 def pieces(atoms: Iterable[Atom], cutpoint_set: Iterable[Term]) -> list[frozenset[Atom]]:
-    """Connected components of atoms glued by variables outside cutpoint_set."""
-    atoms = sorted(atoms)
+    """Connected components of atoms glued by variables outside cutpoint_set:
+    the atoms whose glue variables share a class of the partition those
+    variables make.  An atom with no glue variable is a piece on its own."""
     cut = frozenset(cutpoint_set)
-    glue = [a.variables() - cut for a in atoms]
-    n = len(atoms)
-    comp = list(range(n))
-
-    def root(i):
-        while comp[i] != i:
-            i = comp[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if glue[i] & glue[j]:
-                ri, rj = root(i), root(j)
-                if ri != rj:
-                    comp[ri] = rj
-    by_root: dict[int, set[Atom]] = {}
-    for i, a in enumerate(atoms):
-        by_root.setdefault(root(i), set()).add(a)
-    return sorted((frozenset(c) for c in by_root.values()), key=min)
+    glued = [(a, a.variables() - cut) for a in atoms]
+    classes = TermPartition(g for _, g in glued)
+    by_class: dict = {}
+    for a, g in glued:
+        by_class.setdefault(classes.class_of(min(g)) if g else a, set()).add(a)
+    return sorted((frozenset(c) for c in by_class.values()), key=min)
 
 
 def _unifiable(pp: TermPartition, rule: ExistentialRule) -> bool:
@@ -246,10 +234,11 @@ class CompiledRule:
         return agg
 
     def aggregation(self, choices: tuple) -> Optional[PieceUnifier]:
-        """aggregate over the unifier of choices[k] on copy k, for each k, and
-        the aggregated rule; memoized by the choices, a failure too.  Nothing
-        here reads a query: whether the result is valid for one is beta's to
-        check.
+        """The unifiers of choices[k] on copy k, for each k, merged into one
+        over the aggregated rule, with them as its members; None when their
+        query parts overlap or the joined partition is not admissible.
+        Memoized by the choices, a failure too.  Nothing here reads a query:
+        whether the result is valid for one is beta's to check.
 
         An aggregation of m >= 2 members extends the aggregation of its first
         m - 1 choices, itself memoized here, by its last member: one overlap
@@ -262,10 +251,17 @@ class CompiledRule:
             m = len(choices)
             member = self.copy(m - 1).unifier(choices[-1])
             if m == 1:
-                agg = aggregate([member], self.aggregated(1))
+                agg = PieceUnifier(member.q_part, member.h_part, member.partition,
+                                   self.aggregated(1), members=(member,))
             else:
+                agg = None
                 prefix = self.aggregation(choices[:-1])
-                agg = prefix and _extended(prefix, member, self.aggregated(m))
+                if prefix is not None and prefix.q_part.isdisjoint(member.q_part):
+                    joined = join(prefix.partition, member.partition)
+                    if is_admissible(joined):
+                        agg = PieceUnifier(prefix.q_part | member.q_part,
+                                           prefix.h_part | member.h_part, joined,
+                                           self.aggregated(m), members=prefix.members + (member,))
             self._aggregations[choices] = agg
             return agg
 
@@ -400,42 +396,6 @@ def aggregate_rules(rules: list[ExistentialRule]) -> ExistentialRule:
     return ExistentialRule(label, body, head)
 
 
-def _extended(agg: PieceUnifier, member: PieceUnifier,
-              rule: ExistentialRule) -> Optional[PieceUnifier]:
-    """agg with member merged in, over rule; None when their query parts
-    overlap or the joined partition is not admissible."""
-    if not agg.q_part.isdisjoint(member.q_part):
-        return None
-    joined = join(agg.partition, member.partition)
-    if not is_admissible(joined):
-        return None
-    return PieceUnifier(agg.q_part | member.q_part, agg.h_part | member.h_part, joined, rule,
-                        members=agg.members + (member,))
-
-
-def aggregate(
-    members: list[PieceUnifier], rule: Optional[ExistentialRule] = None
-) -> Optional[PieceUnifier]:
-    """Merge compatible unifiers into one over their aggregated rule, with them
-    as its members; None when parts overlap or the join breaks.
-
-    The merge is CompiledRule.aggregation's step, folded over the list.  rule
-    is aggregate_rules over the members' rules, built here when not given,
-    which refuses members whose rules share a variable.
-    """
-    if not members:
-        raise ValueError("aggregate needs at least one member")
-    if rule is None:
-        rule = aggregate_rules([m.rule for m in members])
-    first = members[0]
-    agg = PieceUnifier(first.q_part, first.h_part, first.partition, rule, members=(first,))
-    for m in members[1:]:
-        agg = _extended(agg, m, rule)
-        if agg is None:
-            return None
-    return agg
-
-
 def enumerate_aggregated(
     q: ConjunctiveQuery, rule: Union[ExistentialRule, CompiledRule]
 ) -> list[PieceUnifier]:
@@ -455,7 +415,7 @@ def enumerate_aggregated(
     compiled = rule if isinstance(rule, CompiledRule) else CompiledRule(rule)
     base = sorted(single_piece_unifiers(q, compiled.copy(0)), key=lambda m: min(m.q_part))
     out: list[PieceUnifier] = []
-    # (members' choices, next piece to try); a failed aggregate stays failed
+    # (members' choices, next piece to try); a failed aggregation stays failed
     # under more members: parts overlap or the joined partition only merges
     # more classes, so only a found one is extended
     stack = [((), 0)]

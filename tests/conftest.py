@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import random
-from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -72,21 +71,45 @@ def reference_core(q: ConjunctiveQuery) -> ConjunctiveQuery:
     return ConjunctiveQuery(atoms, q.answer_vars)
 
 
+def components(groups):
+    """Connected components of the graph linking each term to its group's
+    other terms, found by flooding an adjacency list.  Any hashable items
+    will do as the terms."""
+    adj = {}
+    for g in groups:
+        for s in g:
+            adj.setdefault(s, set()).update(g)
+    out, seen = set(), set()
+    for t in adj:
+        if t in seen:
+            continue
+        comp, todo = set(), [t]
+        while todo:
+            s = todo.pop()
+            if s not in comp:
+                comp.add(s)
+                todo.extend(adj[s] - comp)
+        seen |= comp
+        out.add(frozenset(comp))
+    return frozenset(out)
+
+
 def reference_aggregate(members: list[PieceUnifier]) -> PieceUnifier | None:
-    """The from-scratch merge ``unification.aggregate`` made before each
-    aggregation extended its prefix, kept as an oracle for it: the parts must
-    be disjoint, the partitions are joined pairwise by union-find over all of
-    their classes, the join must hold at most one constant a class, and the
-    rule is aggregate_rules over the members' rules."""
+    """The from-scratch merge of the members, kept as an oracle for
+    ``CompiledRule.aggregation``, which extends each aggregation's prefix:
+    the parts must be disjoint, the joined partition's classes are the
+    flooded components of all the members' classes, the join must hold at
+    most one constant a class, and the rule is aggregate_rules over the
+    members' rules."""
     taken: set[Atom] = set()
     for m in members:
         if m.q_part & taken:
             return None
         taken |= m.q_part
-    joined = reduce(lambda p1, p2: TermPartition(p1.classes() + p2.classes()),
-                    [m.partition for m in members])
-    if any(sum(1 for t in c if t.is_constant) > 1 for c in joined.classes()):
+    classes = components(c for m in members for c in m.partition.classes())
+    if any(sum(1 for t in c if t.is_constant) > 1 for c in classes):
         return None
+    joined = TermPartition(classes)
     return PieceUnifier(frozenset(taken), frozenset(a for m in members for a in m.h_part),
                         joined, aggregate_rules([m.rule for m in members]),
                         members=tuple(members))

@@ -26,7 +26,7 @@ from ucqrewrite import (
     verify_rewriting_set,
 )
 from ucqrewrite.chase import random_ground_atoms
-from ucqrewrite.kb import NULL_PREFIX, Atom, ConjunctiveQuery, apply_to_atom, vars_of
+from ucqrewrite.kb import ANS_PREDICATE, NULL_PREFIX, Atom, ConjunctiveQuery, apply_to_atom, vars_of
 
 from conftest import reference_homomorphisms
 
@@ -132,6 +132,42 @@ def test_verify_checks_the_answers_of_a_non_boolean_query():
     report = verify_rewriting_set(q_null, [r_null], RewritingResult(
         cover={q_null}, depth_reached=1, terminated=True), samples=0, extra_facts=facts)
     assert report["complete_sampled"] is True
+
+
+def test_verify_samples_no_answer_facts(monkeypatch):
+    from ucqrewrite.rewriting import RewritingResult
+
+    module = sys.modules["ucqrewrite.chase"]
+    drawn = []
+    draw = module.random_ground_atoms
+
+    def recording(predicates, *args):
+        drawn.append((predicates, draw(predicates, *args)))
+        return drawn[-1][1]
+
+    monkeypatch.setattr(module, "random_ground_atoms", recording)
+    r = rule("r1", [atom("q", x)], [atom("p", x, y)])
+    q = attach_answer_atom(cq(atom("p", u, v), answer_vars=(u,)))
+    verify_rewriting_set(q, [r], RewritingResult(cover={q}, depth_reached=1, terminated=True),
+                         samples=30, seed=0)
+    # the predicates are the rules' and the query body's, never the answer atom's
+    assert len(drawn) == 30
+    assert all(set(preds) == {"p", "q"} for preds, _ in drawn)
+    assert not any(at.predicate == ANS_PREDICATE for _, facts in drawn for at in facts)
+
+
+def test_verify_matches_a_cover_query_only_against_the_answer_under_test():
+    from ucqrewrite.rewriting import RewritingResult
+
+    r = rule("r1", [atom("q", x)], [atom("p", x, y)])
+    q = attach_answer_atom(cq(atom("p", u, v), answer_vars=(u,)))
+    # the cover without ?(X0) :- q(X0): the answer a on q(a) is missed, and
+    # the answer fact __ans(b) of the fact base must not stand in for it
+    partial = RewritingResult(cover={q}, depth_reached=1, terminated=True)
+    facts = frozenset({atom("q", a), atom(ANS_PREDICATE, b), atom("p", b, c)})
+    report = verify_rewriting_set(q, [r], partial, samples=0, extra_facts=[facts])
+    assert report["complete_sampled"] is False
+    assert report["counterexamples"] == [["__ans(b)", "p(b,c)", "q(a)"]]
 
 
 def test_one_step_soundness_accepts_true_rewriting():

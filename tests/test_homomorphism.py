@@ -50,7 +50,7 @@ def brute_force_hom_exists(source, target):
 
 def brute_force_core(q):
     """Smallest subset equivalent to q, by exhaustive retract search."""
-    atoms = sorted(q.atoms, key=lambda at: at.sort_key())
+    atoms = sorted(q.atoms)
     best = frozenset(atoms)
     n = len(atoms)
     for mask in range(1, 1 << n):
@@ -316,7 +316,7 @@ def test_atom_index_buckets_stay_sorted(adds):
     for at in adds:
         index.add(at)
     for (pred, arity), bucket in index.buckets.items():
-        assert bucket == sorted(bucket, key=lambda at: at.sort_key())
+        assert bucket == sorted(bucket)
         assert all(at.predicate == pred and at.arity == arity for at in bucket)
     held = [at for bucket in index.buckets.values() for at in bucket]
     assert len(held) == len(adds) and set(held) == set(adds)

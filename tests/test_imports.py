@@ -96,7 +96,12 @@ def public_definitions(tree: ast.Module) -> dict[str, str]:
 
 def unread_public_names(defining: dict[str, str], readers: dict[str, str]) -> list[str]:
     """The public definitions in the defining sources that no reader reads
-    as a name or an attribute."""
+    as a name or an attribute.
+
+    Names are matched bare, not by their class: a method counts as read
+    when any attribute of its name is read, so one that shares its name
+    with a read definition (a ``constants`` or ``sort_key`` of another
+    class) is never reported."""
     used = set().union(*(references(ast.parse(s)) for s in readers.values()))
     return sorted(name for source in defining.values()
                   for name, read_as in public_definitions(ast.parse(source)).items()

@@ -11,6 +11,7 @@ from ucqrewrite import (
     const,
     var,
 )
+from conftest import components
 
 x, y, z, w = var("x"), var("y"), var("z"), var("w")
 a, b = const("a"), const("b")
@@ -105,28 +106,6 @@ def test_substitution_idempotent(unions):
     for t in p.carrier:
         image = u.get(t, t)
         assert u.get(image, image) == image
-
-
-def components(groups):
-    """Connected components of the graph linking each term to its group's
-    other terms, found by flooding an adjacency list."""
-    adj = {}
-    for g in groups:
-        for s in g:
-            adj.setdefault(s, set()).update(g)
-    out, seen = set(), set()
-    for t in adj:
-        if t in seen:
-            continue
-        comp, todo = set(), [t]
-        while todo:
-            s = todo.pop()
-            if s not in comp:
-                comp.add(s)
-                todo.extend(adj[s] - comp)
-        seen |= comp
-        out.add(frozenset(comp))
-    return frozenset(out)
 
 
 groups = st.lists(st.lists(st.sampled_from(term_pool), max_size=4), max_size=6)

@@ -14,7 +14,6 @@ from ucqrewrite import (
     Limits,
     PieceUnifier,
     TermPartition,
-    aggregate,
     aggregate_rules,
     atom,
     const,
@@ -37,7 +36,8 @@ from ucqrewrite.kb import (
 from ucqrewrite.partition import associated_substitution, is_admissible
 from ucqrewrite.unification import CompiledRule, RuleBase, RuleCopy
 from conftest import (
-    random_linear_rules, random_multi_head_instance, random_query, reference_aggregate)
+    components, random_linear_rules, random_multi_head_instance, random_query,
+    reference_aggregate)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 # the benchmark's diamond chains; its dataclasses need the module registered
@@ -63,6 +63,22 @@ def test_pieces_glued_by_non_cutpoints():
     assert pieces(atoms, {u, t}) == [frozenset(atoms)]
     # all variables cut: each atom is its own piece
     assert len(pieces(atoms, {u, v, w, t})) == 3
+
+
+piece_terms = [u, v, w, t, a, b]
+piece_atoms = st.lists(st.builds(
+    lambda p, args: Atom(p, tuple(args)), st.sampled_from("pqs"),
+    st.lists(st.sampled_from(piece_terms), max_size=3)), max_size=7)
+
+
+@given(piece_atoms, st.sets(st.sampled_from([u, v, w, t])))
+def test_pieces_are_the_components_of_the_atom_graph(atoms, cut):
+    # each glue variable links the atoms it occurs in; each atom is a node
+    glue = {s for at in atoms for s in at.args if s.is_variable and s not in cut}
+    graph = [[at] for at in atoms] + [[at for at in atoms if s in at.args] for s in glue]
+    got = pieces(atoms, cut)
+    assert set(got) == components(graph)
+    assert got == sorted(got, key=min) and len(got) == len(set(got))
 
 
 def test_single_unifier_merging_two_atoms():
@@ -360,11 +376,11 @@ def test_aggregations_are_every_compatible_subset_of_the_base_parts():
         slots = [{m.q_part: m for m in base}] + [
             {m.q_part: m for m in single_piece_unifiers(q, freshen_rule(r, c))}
             for _ in base[1:]]
-        parts = sorted(slots[0], key=lambda p: min(at.sort_key() for at in p))
+        parts = sorted(slots[0], key=min)
         want = set()
         for mask in range(1, 1 << len(parts)):
             subset = tuple(p for i, p in enumerate(parts) if mask >> i & 1)
-            if aggregate([slots[i][p] for i, p in enumerate(subset)]) is not None:
+            if reference_aggregate([slots[i][p] for i, p in enumerate(subset)]) is not None:
                 want.add(subset)
         assert len(got) == len(set(got)) and set(got) == want
 
@@ -416,15 +432,12 @@ def test_aggregations_memoized_on_a_compiled_rule_are_those_of_a_fresh_one():
 def test_aggregate_rejects_overlapping_parts():
     r = rule("r", [atom("p", x, y)], [atom("q", x, y)])
     q = cq(atom("q", u, v))
-    c = FreshCounter()
-    m1 = single_piece_unifiers(q, freshen_rule(r, c))[0]
-    m2 = single_piece_unifiers(q, freshen_rule(r, c))[0]
-    assert aggregate([m1, m2]) is None
-
-
-def test_aggregate_needs_a_member():
-    with pytest.raises(ValueError, match="at least one member"):
-        aggregate([])
+    compiled = CompiledRule(r)
+    c = single_piece_unifiers(q, compiled.copy(0))[0].choice
+    assert compiled.aggregation((c,)) is not None
+    # the same piece chosen twice: its parts on copies 0 and 1 overlap
+    assert compiled.aggregation((c, c)) is None
+    assert reference_aggregate([compiled.copy(0).unifier(c), compiled.copy(1).unifier(c)]) is None
 
 
 def aggregation_inputs():
