@@ -26,13 +26,7 @@ from .homomorphism import (
     isomorphic,
     more_general,
 )
-from .partition import (
-    TermPartition,
-    associated_substitution,
-    finer_than,
-    is_admissible,
-    join,
-)
+from .partition import TermPartition, finer_than, join
 from .unification import (
     PieceUnifier,
     aggregate_rules,

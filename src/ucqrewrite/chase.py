@@ -27,13 +27,16 @@ from .homomorphism import cover, find_homomorphism, homomorphisms
 
 class ChaseState:
     """A chase instance: the rank of each of its atoms, an index over them, and
-    one index per rank over the atoms of that rank.
+    in ``layers`` an index over the atoms of each rank that no round has read
+    yet: the last finished round's, and the one being filled.
 
     The facts get rank 0, with their variables frozen to labelled nulls in
     order of first occurrence in the sorted facts.  Nulls are numbered past
     every null ``__n<i>`` the facts hold, such as a chase prefix's.
     Every later atom goes into ``rank``, ``index`` and its rank's index in
-    ``layers`` together through ``add``.
+    ``layers`` together through ``add``.  A round takes the previous rank's
+    index out of ``layers`` (``_apply_round``), so the chase keeps at most
+    two of them, however many rounds it makes.
     """
 
     def __init__(self, facts: Iterable[Atom] = ()):
@@ -105,7 +108,7 @@ def _apply_round(state: ChaseState, rules: list[tuple], rank: int) -> bool:
     are skipped.  rules come from _compile, once per chase.
     """
     added = False
-    delta = state.layers[rank - 1]
+    delta = state.layers.pop(rank - 1)
     snapshot = state.index.snapshot() if any(len(body.atoms) != 1 for body, *_ in rules) else None
     for body, existentials, head, head_plan in rules:
         if len(body.atoms) == 1:

@@ -1,9 +1,9 @@
 """Immutable term partitions: the carrier of unification state."""
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .kb import Substitution, Term
+from .kb import Substitution, Term, memo
 
 
 def _admissible(cls: frozenset[Term]) -> bool:
@@ -25,10 +25,10 @@ def _merge(class_of: dict[Term, frozenset[Term]], group: Iterable[Term]) -> None
 class TermPartition:
     """Partition of a finite term set: term groups that share a term are merged.
 
-    The partition never changes after construction, so its classes, sorted
-    by their least term, its carrier and whether it is admissible are
-    computed once, when it is built, and its associated substitution on
-    first use.
+    The partition never changes after construction, so its classes (an
+    unordered set), its carrier and whether it is admissible (no class holds
+    two constants) are computed once, when it is built, and its associated
+    substitution on first use.
     """
 
     def __init__(self, groups: Iterable[Iterable[Term]] = ()):
@@ -38,12 +38,25 @@ class TermPartition:
         self._set(class_of)
 
     def _set(self, class_of: dict[Term, frozenset[Term]]) -> None:
-        classes = sorted(set(class_of.values()), key=min)
-        self._classes = tuple(classes)
         self._class_of = class_of
+        self.classes: frozenset[frozenset[Term]] = frozenset(class_of.values())
         self.carrier: frozenset[Term] = frozenset(class_of)
-        self.admissible = all(_admissible(c) for c in classes)
-        self._substitution: Optional[Substitution] = None
+        self.admissible = all(_admissible(c) for c in self.classes)
+
+    @memo
+    def substitution(self) -> Substitution:
+        """Map each term to its class minimum (constants win by the term order);
+        raises on an inadmissible partition.  Every unifier over the partition
+        shares the one mapping, so no caller may change it."""
+        if not self.admissible:
+            raise ValueError("partition is not admissible")
+        sub = {}
+        for cls in self.classes:
+            rep = min(cls)
+            for t in cls:
+                if t != rep and t.is_variable:
+                    sub[t] = rep
+        return sub
 
     def same_class(self, a: Term, b: Term) -> bool:
         return a in self._class_of and b in self._class_of[a]
@@ -51,19 +64,14 @@ class TermPartition:
     def class_of(self, t: Term) -> frozenset[Term]:
         return self._class_of[t]
 
-    def classes(self) -> list[frozenset[Term]]:
-        return list(self._classes)
-
-    def as_sets(self) -> frozenset[frozenset[Term]]:
-        return frozenset(self._classes)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TermPartition):
             return NotImplemented
-        return self.as_sets() == other.as_sets()
+        return self.classes == other.classes
 
     def __repr__(self) -> str:
-        cls = ", ".join("{" + ",".join(str(t) for t in sorted(c)) + "}" for c in self._classes)
+        cls = ", ".join("{" + ",".join(str(t) for t in sorted(c)) + "}"
+                        for c in sorted(self.classes, key=min))
         return "{" + cls + "}"
 
 
@@ -73,39 +81,15 @@ def join(p1: TermPartition, p2: TermPartition) -> TermPartition:
     p2's classes are merged into a copy of p1's class map, one at a time, so
     only the classes they touch are rebuilt."""
     class_of = dict(p1._class_of)
-    for c in p2._classes:
+    for c in p2.classes:
         _merge(class_of, c)
     out = TermPartition.__new__(TermPartition)
     out._set(class_of)
     return out
 
 
-def is_admissible(p: TermPartition) -> bool:
-    """No class holds two distinct constants: read off p, where it is stored."""
-    return p.admissible
-
-
 def finer_than(p1: TermPartition, p2: TermPartition) -> bool:
     """Every class of p1 is included in a class of p2 (same carrier)."""
     if p1.carrier != p2.carrier:
         raise ValueError("finer_than requires identical carriers")
-    return all(c <= p2.class_of(min(c)) for c in p1.classes())
-
-
-def associated_substitution(p: TermPartition) -> Substitution:
-    """Map each term to its class minimum (constants win by the term order).
-
-    The mapping is computed on p's first call and stored on p: every later
-    call, for p or for any unifier over it, returns the same dict, so no
-    caller may change it."""
-    if not p.admissible:
-        raise ValueError("partition is not admissible")
-    sub = p._substitution
-    if sub is None:
-        sub = p._substitution = {}
-        for cls in p._classes:
-            rep = min(cls)
-            for t in cls:
-                if t != rep and t.is_variable:
-                    sub[t] = rep
-    return sub
+    return all(c <= p2.class_of(min(c)) for c in p1.classes)

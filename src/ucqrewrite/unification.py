@@ -19,13 +19,7 @@ from .kb import (
     terms_of,
     vars_of,
 )
-from .partition import (
-    TermPartition,
-    associated_substitution,
-    finer_than,
-    is_admissible,
-    join,
-)
+from .partition import TermPartition, finer_than, join
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +30,8 @@ class PieceUnifier:
     their aggregated rule, with its members in ``members``.  What does not
     depend on the query is a memo view, computed once, on first use: the
     associated substitution, the variables that must be non-separating
-    (``ex_vars``), the validity checks that do not read the query
+    (``ex_vars``), whether the partition has the piece-unifier shape
+    (``shaped``), the validity checks that do not read the query
     (``checks``) and u(rule.body) (``body_image``).  Copies and compiled
     rules share a unifier among queries, so it is immutable."""
 
@@ -54,7 +49,7 @@ class PieceUnifier:
         """The partition's associated substitution: the mapping stored on the
         partition, shared with every unifier over it, so no caller may change
         it."""
-        return associated_substitution(self.partition)
+        return self.partition.substitution
 
     @memo
     def ex_vars(self) -> frozenset[Term]:
@@ -63,34 +58,44 @@ class PieceUnifier:
         ex = self.rule.existentials
         out: set[Term] = set()
         if ex:
-            for cls in self.partition.classes():
+            for cls in self.partition.classes:
                 if not ex.isdisjoint(cls):
                     out |= cls - ex
         return frozenset(out)
 
     @memo
+    def shaped(self) -> bool:
+        """The partition is admissible, and each class with an existential
+        variable holds exactly one, its other members all variables of q_part.
+        With the rule variable-disjoint from the query, such a class holds no
+        constant and no frontier variable."""
+        if not self.partition.admissible:
+            return False
+        ex = self.rule.existentials
+        if ex.isdisjoint(self.partition.carrier):
+            return True
+        return self.ex_vars <= vars_of(self.q_part) and all(
+            len(cls & ex) < 2 for cls in self.partition.classes)
+
+    @memo
     def checks(self) -> tuple[tuple[str, ...], bool, Optional[tuple[str, ...]]]:
         """The query-independent part of validate_piece_unifier: the problems
-        found before the existential-class condition, whether the classes with
-        an existential variable have its shape (one existential variable, and
-        otherwise only query variables of q_part), and the problems after it,
-        None when the partition is not admissible and the checks stop."""
+        found before the existential-class condition, ``shaped``, and the
+        problems after it, None when the partition is not admissible and the
+        checks stop."""
         before = []
         if not self.h_part <= self.rule.head:
             before.append("h_part must be a subset of the rule head")
         if self.partition.carrier != terms_of(self.q_part) | terms_of(self.h_part):
             before.append("partition carrier must be terms(q_part) + terms(h_part)")
-        if not is_admissible(self.partition):
+        if not self.partition.admissible:
             before.append("partition not admissible")
             return tuple(before), False, None
-        ex = self.rule.existentials
-        shaped = not ex or self.ex_vars <= vars_of(self.q_part) and all(
-            len(cls & ex) < 2 for cls in self.partition.classes())
         u = self.substitution
         after = []
         if apply_to_atoms(u, self.h_part) != apply_to_atoms(u, self.q_part):
             after.append("u(h_part) != u(q_part)")
-        return tuple(before), shaped, tuple(after)
+        return tuple(before), self.shaped, tuple(after)
 
     @memo
     def body_image(self) -> frozenset[Atom]:
@@ -154,23 +159,6 @@ def pieces(atoms: Iterable[Atom], cutpoint_set: Iterable[Term]) -> list[frozense
     return sorted((frozenset(c) for c in by_class.values()), key=min)
 
 
-def _unifiable(pp: TermPartition, rule: ExistentialRule) -> bool:
-    """pp is admissible, and a class with an existential variable holds no
-    other existential variable, no constant and no frontier variable."""
-    if not is_admissible(pp):
-        return False
-    ex = rule.existentials
-    if ex.isdisjoint(pp.carrier):
-        return True
-    fr = rule.frontier
-    for cls in pp.classes():
-        in_ex = cls & ex
-        if in_ex and (len(in_ex) > 1 or not cls.isdisjoint(fr)
-                      or any(t.is_constant for t in cls)):
-            return False
-    return True
-
-
 class RuleCopy:
     """A rule renamed apart by ``kb.freshen_rule``, with its sorted head, the
     positions of its head atoms by (predicate, arity), and the candidate
@@ -190,17 +178,17 @@ class RuleCopy:
 
     def unifier(self, choice: tuple) -> Optional[PieceUnifier]:
         """The choice's atoms unified position by position; None when the
-        partition is not unifiable.  Whether its q_part is a piece of a
-        query is the caller's to decide."""
+        unifier is not ``shaped``.  Whether its q_part is a piece of a query
+        is the caller's to decide."""
         try:
             return self._unifiers[choice]
         except KeyError:
             head = self.head
             pp = TermPartition(st for a, j in choice for st in zip(a.args, head[j].args))
-            mu = None
-            if _unifiable(pp, self.rule):
-                mu = PieceUnifier(frozenset(a for a, _ in choice),
-                                  frozenset(head[j] for _, j in choice), pp, self.rule, choice)
+            mu = PieceUnifier(frozenset(a for a, _ in choice),
+                              frozenset(head[j] for _, j in choice), pp, self.rule, choice)
+            if not mu.shaped:
+                mu = None
             self._unifiers[choice] = mu
             return mu
 
@@ -258,7 +246,7 @@ class CompiledRule:
                 prefix = self.aggregation(choices[:-1])
                 if prefix is not None and prefix.q_part.isdisjoint(member.q_part):
                     joined = join(prefix.partition, member.partition)
-                    if is_admissible(joined):
+                    if joined.admissible:
                         agg = PieceUnifier(prefix.q_part | member.q_part,
                                            prefix.h_part | member.h_part, joined,
                                            self.aggregated(m), members=prefix.members + (member,))

@@ -106,7 +106,7 @@ def reference_aggregate(members: list[PieceUnifier]) -> PieceUnifier | None:
         if m.q_part & taken:
             return None
         taken |= m.q_part
-    classes = components(c for m in members for c in m.partition.classes())
+    classes = components(c for m in members for c in m.partition.classes)
     if any(sum(1 for t in c if t.is_constant) > 1 for c in classes):
         return None
     joined = TermPartition(classes)

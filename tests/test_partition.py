@@ -4,9 +4,7 @@ from hypothesis import given, strategies as st
 
 from ucqrewrite import (
     TermPartition,
-    associated_substitution,
     finer_than,
-    is_admissible,
     join,
     const,
     var,
@@ -22,7 +20,7 @@ def test_union_find_basic():
     assert p.same_class(x, y)
     assert not p.same_class(x, z)
     assert p.class_of(x) == {x, y}
-    assert p.as_sets() == {frozenset({x, y}), frozenset({z})}
+    assert p.classes == {frozenset({x, y}), frozenset({z})}
 
 
 def test_constructor_from_classes():
@@ -40,8 +38,8 @@ def test_join_merges_overlapping_classes():
 
 
 def test_admissibility():
-    assert is_admissible(TermPartition([{x, a}, {y, b}]))
-    assert not is_admissible(TermPartition([{x, a, b}]))
+    assert TermPartition([{x, a}, {y, b}]).admissible
+    assert not TermPartition([{x, a, b}]).admissible
 
 
 def test_finer_than():
@@ -55,7 +53,7 @@ def test_finer_than():
 
 def test_associated_substitution_prefers_constants():
     p = TermPartition([{x, y, a}, {z, w}])
-    u = associated_substitution(p)
+    u = p.substitution
     assert u[x] == a and u[y] == a
     # variable class: the smallest variable represents, itself unmapped
     rep = min({z, w})
@@ -65,13 +63,13 @@ def test_associated_substitution_prefers_constants():
 
 def test_associated_substitution_rejects_inadmissible():
     with pytest.raises(ValueError):
-        associated_substitution(TermPartition([{a, b}]))
+        TermPartition([{a, b}]).substitution
 
 
 def test_factorization_through_substitution():
     # u(s) == u(t) exactly when s and t share a class
     p = TermPartition([{x, y}, {z, a}, {w}])
-    u = associated_substitution(p)
+    u = p.substitution
     terms = [x, y, z, w, a]
     for s in terms:
         for t in terms:
@@ -91,7 +89,7 @@ def test_join_is_least_upper_bound(us1, us2):
     j = join(p1, p2)
     # join is coarser than both on the shared carrier
     for p in (p1, p2):
-        for c in p.classes():
+        for c in p.classes:
             c = list(c)
             for t in c[1:]:
                 assert j.same_class(c[0], t)
@@ -100,9 +98,9 @@ def test_join_is_least_upper_bound(us1, us2):
 @given(pairs)
 def test_substitution_idempotent(unions):
     p = TermPartition(unions)
-    if not is_admissible(p):
+    if not p.admissible:
         return
-    u = associated_substitution(p)
+    u = p.substitution
     for t in p.carrier:
         image = u.get(t, t)
         assert u.get(image, image) == image
@@ -113,7 +111,7 @@ groups = st.lists(st.lists(st.sampled_from(term_pool), max_size=4), max_size=6)
 
 def substitution_or_error(p):
     try:
-        return associated_substitution(p)
+        return p.substitution
     except ValueError as e:
         return str(e)
 
@@ -121,33 +119,32 @@ def substitution_or_error(p):
 def assert_stored_facts_hold(p):
     """carrier, admissibility and the associated substitution, as stored on
     p, against their recomputation from p's classes."""
-    classes = p.classes()
+    classes = p.classes
     assert p.carrier == frozenset().union(*classes)
     admissible = all(sum(1 for t in c if t.is_constant) <= 1 for c in classes)
-    assert is_admissible(p) == admissible
+    assert p.admissible == admissible
     if not admissible:
         assert substitution_or_error(p) == "partition is not admissible"
         return
-    sub = associated_substitution(p)
+    sub = p.substitution
     assert sub == {t: min(c) for c in classes for t in c if t != min(c) and t.is_variable}
-    assert associated_substitution(p) is sub
+    assert p.substitution is sub
 
 
 @given(groups, groups)
 def test_partition_is_the_components_of_its_groups(g1, g2):
     p1, p2 = TermPartition(g1), TermPartition(g2)
-    assert p1.as_sets() == components(g1)
+    assert p1.classes == components(g1)
     assert p1.carrier == {t for g in g1 for t in g}
-    assert p1.classes() == sorted(p1.as_sets(), key=min)
     for t in p1.carrier:
         assert p1.class_of(t) == next(c for c in components(g1) if t in c)
     assert_stored_facts_hold(p1)
     j = join(p1, p2)
-    assert j.as_sets() == components(p1.classes() + p2.classes()) == components(g1 + g2)
+    assert j.classes == components(p1.classes | p2.classes) == components(g1 + g2)
     assert_stored_facts_hold(j)
     # the join merged into p1's classes is the partition of both groups built at once
     whole = TermPartition(g1 + g2)
-    assert j.classes() == whole.classes()
+    assert j.classes == whole.classes
     assert all(j.class_of(t) == whole.class_of(t) for t in whole.carrier)
-    assert is_admissible(j) == is_admissible(whole)
+    assert j.admissible == whole.admissible
     assert substitution_or_error(j) == substitution_or_error(whole)

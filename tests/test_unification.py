@@ -33,7 +33,6 @@ from ucqrewrite import (
 from ucqrewrite.kb import (
     Atom, FreshCounter, apply_to_atoms, attach_answer_atom, freshen_rule, memo, terms_of,
     vars_of)
-from ucqrewrite.partition import associated_substitution, is_admissible
 from ucqrewrite.unification import CompiledRule, RuleBase, RuleCopy
 from conftest import (
     components, random_linear_rules, random_multi_head_instance, random_query,
@@ -52,7 +51,7 @@ a, b = const("a"), const("b")
 def unifier_set(mus):
     """Comparable fingerprint: (q_part, h_part, partition classes)."""
     return {
-        (mu.q_part, mu.h_part, mu.partition.as_sets())
+        (mu.q_part, mu.h_part, mu.partition.classes)
         for mu in mus
     }
 
@@ -171,18 +170,18 @@ def reference_problems(q, mu):
         problems.append("h_part must be a subset of the rule head")
     if set(mu.partition.carrier) != terms_of(mu.q_part) | terms_of(mu.h_part):
         problems.append("partition carrier must be terms(q_part) + terms(h_part)")
-    if not is_admissible(mu.partition):
+    if not mu.partition.admissible:
         problems.append("partition not admissible")
         return problems
     sep = vars_of(mu.q_part) & vars_of(q.atoms - mu.q_part)
     nonsep = vars_of(mu.q_part) - sep
-    for cls in mu.partition.classes():
+    for cls in mu.partition.classes:
         existentials = cls & mu.rule.existentials
         if len(existentials) > 1 or (existentials and not cls - existentials <= nonsep):
             problems.append("class with an existential variable contains a term other than "
                             "a non-separating query variable")
             break
-    s = associated_substitution(mu.partition)
+    s = mu.partition.substitution
 
     def image(atoms):
         return {Atom(at.predicate, tuple(s.get(t, t) for t in at.args)) for at in atoms}
@@ -277,7 +276,7 @@ def test_a_unifier_s_memos_hold_for_every_query_it_is_checked_against(case):
     assert mu.body_image == apply_to_atoms(mu.substitution, copy.rule.body)
 
 
-def test_a_copy_s_memoized_unifier_is_immutable_and_computes_each_view_once(monkeypatch):
+def test_a_copy_s_memoized_unifier_is_immutable_and_computes_each_view_once():
     copy = RuleCopy(rule("r", [atom("q", x)], [atom("p", x, y), atom("s", y)]))
     q = cq(atom("p", u, v), atom("s", v))
     (mu,) = single_piece_unifiers(q, copy)
@@ -285,18 +284,51 @@ def test_a_copy_s_memoized_unifier_is_immutable_and_computes_each_view_once(monk
     for f in fields(PieceUnifier):
         with pytest.raises(FrozenInstanceError):
             setattr(mu, f.name, getattr(mu, f.name))
-    calls = []
-    monkeypatch.setattr(unification, "associated_substitution",
-                        lambda p: calls.append(p) or associated_substitution(p))
     fresh = RuleCopy(copy.rule).unifier(mu.choice)
     views = sorted(n for n, attr in vars(PieceUnifier).items() if isinstance(attr, memo))
-    assert views == ["body_image", "checks", "ex_vars", "substitution"]
+    assert views == ["body_image", "checks", "ex_vars", "shaped", "substitution"]
     for name in views:
         first = getattr(fresh, name)
         assert getattr(fresh, name) is first and vars(fresh)[name] is first
-    assert len(calls) == 1
+    # the unifier's substitution is the one its partition computed and stored
+    assert fresh.substitution is fresh.partition.substitution
+    assert vars(fresh.partition)["substitution"] is fresh.substitution
     assert not set(views) & {f.name for f in fields(PieceUnifier)}
     assert repr(fresh) == repr(mu) and fresh != mu and validate_piece_unifier(q, fresh) == []
+
+
+# head terms: frontier variables x and z, existential variables y and t, a constant
+SHAPE_HEAD = [atom("p", s, o) for s in (x, y, z, t, a) for o in (x, y, z, t, a)] + [
+    atom("r", s) for s in (x, y, t, a)]
+# query terms: variables, which an atom may repeat, and constants
+SHAPE_QUERY = [atom("p", s, o) for s in (u, v, w, a, b) for o in (u, v, w, a, b)] + [
+    atom("r", s) for s in (u, v, a, b)]
+
+
+@st.composite
+def copy_and_choice(draw):
+    """A rule copy, with existential, frontier and constant head positions,
+    and a choice on it: query atoms, each with a head position it may take."""
+    r = rule("r", [atom("q", x, z)], draw(st.lists(st.sampled_from(SHAPE_HEAD), min_size=1,
+                                                       max_size=3)))
+    copy = RuleCopy(r)
+    atoms = draw(st.lists(st.sampled_from(SHAPE_QUERY), min_size=1, max_size=3, unique=True))
+    atoms = [q for q in atoms if (q.predicate, q.arity) in copy.positions]
+    assume(atoms)
+    return copy, tuple((q, draw(st.sampled_from(copy.positions[q.predicate, q.arity])))
+                       for q in atoms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(copy_and_choice())
+def test_a_copy_keeps_a_choice_s_unifier_exactly_when_the_plain_set_check_finds_it_valid(case):
+    # in a query that is only the piece no variable is separating, so only the
+    # shape of the partition can make the unifier invalid there
+    copy, choice = case
+    pairs = [pair for q, j in choice for pair in zip(q.args, copy.head[j].args)]
+    mu = PieceUnifier(frozenset(q for q, _ in choice), frozenset(copy.head[j] for _, j in choice),
+                      TermPartition(pairs), copy.rule)
+    assert (copy.unifier(choice) is not None) == (reference_problems(cq(*mu.q_part), mu) == [])
 
 
 def test_unifiable_rejects_existential_frontier_merge():
@@ -482,7 +514,7 @@ def test_each_aggregation_extending_its_prefix_equals_the_from_scratch_merge():
             built.append(agg)
             assert agg.members == ref.members and len(agg.members) == len(choices)
             assert agg.q_part == ref.q_part and agg.h_part == ref.h_part
-            assert agg.partition.classes() == ref.partition.classes()
+            assert agg.partition.classes == ref.partition.classes
             assert agg.rule == ref.rule
             assert agg.checks == ref.checks
             assert agg.substitution == ref.substitution
@@ -547,7 +579,7 @@ def test_single_piece_results_are_valid_and_agree_with_oracle():
 def _at_least_as_general(p1, p2):
     """Every two terms of p2's carrier that p1 merges, p2 merges too."""
     carrier = p2.carrier
-    return all(len({p2.class_of(t) for t in c & carrier}) <= 1 for c in p1.classes())
+    return all(len({p2.class_of(t) for t in c & carrier}) <= 1 for c in p1.classes)
 
 
 def test_multi_atom_head_single_piece_unifiers_agree_with_oracle():
