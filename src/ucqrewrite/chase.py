@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, KeysView, Optional
+from typing import Iterable, Iterator, KeysView, Optional
 
 from .kb import (
     ANS_PREDICATE,
@@ -27,16 +27,16 @@ from .homomorphism import cover, find_homomorphism, homomorphisms
 
 class ChaseState:
     """A chase instance: the rank of each of its atoms, an index over them, and
-    in ``layers`` an index over the atoms of each rank that no round has read
-    yet: the last finished round's, and the one being filled.
+    in ``added`` an index over the atoms of the round being filled, or the
+    facts before round 1.
 
     The facts get rank 0, with their variables frozen to labelled nulls in
     order of first occurrence in the sorted facts.  Nulls are numbered past
     every null ``__n<i>`` the facts hold, such as a chase prefix's.
-    Every later atom goes into ``rank``, ``index`` and its rank's index in
-    ``layers`` together through ``add``.  A round takes the previous rank's
-    index out of ``layers`` (``_apply_round``), so the chase keeps at most
-    two of them, however many rounds it makes.
+    Every later atom goes into ``rank``, ``index`` and ``added`` together
+    through ``add``.  A round swaps ``added`` out as the atoms it reads
+    (``_apply_round``), so the chase keeps two indexes of new atoms, however
+    many rounds it makes.
     """
 
     def __init__(self, facts: Iterable[Atom] = ()):
@@ -46,7 +46,7 @@ class ChaseState:
         frozen = apply_to_atoms({v: self.fresh_null() for v in firsts}, facts)
         self.rank: dict[Atom, int] = dict.fromkeys(frozen, 0)
         self.index = AtomIndex(self.rank)
-        self.layers: dict[int, AtomIndex] = {0: self.index.snapshot()}
+        self.added = self.index.snapshot()
 
     @property
     def atoms(self) -> KeysView[Atom]:
@@ -58,14 +58,12 @@ class ChaseState:
         self.null_count += 1
         return t
 
-    def add(self, a: Atom, rank: int) -> bool:
-        """Add a with the given rank; returns False if it was already present."""
-        if a in self.rank:
-            return False
-        self.rank[a] = rank
-        self.index.add(a)
-        self.layers.setdefault(rank, AtomIndex()).add(a)
-        return True
+    def add(self, a: Atom, rank: int) -> None:
+        """Add a with the given rank, unless it is already present."""
+        if a not in self.rank:
+            self.rank[a] = rank
+            self.index.add(a)
+            self.added.add(a)
 
 
 @dataclass
@@ -88,11 +86,11 @@ def _null_number(t: Term) -> int:
 
 
 def _compile(rules: Iterable[ExistentialRule]) -> list[tuple]:
-    """Each rule as (its body's match plan, in sorted order, its sorted
-    existentials, its head, its head's match plan): what every round reads
-    of it."""
-    return [(MatchPlan(sorted(r.body)), sorted(r.existentials), r.head,
-             MatchPlan(sorted(r.head))) for r in rules]
+    """Each rule as (its body's match plan, its sorted existentials, its
+    head's match plan), each plan over the sorted atoms: what every round
+    reads of it."""
+    return [(MatchPlan(sorted(r.body)), sorted(r.existentials), MatchPlan(sorted(r.head)))
+            for r in rules]
 
 
 def _apply_round(state: ChaseState, rules: list[tuple], rank: int) -> bool:
@@ -107,36 +105,45 @@ def _apply_round(state: ChaseState, rules: list[tuple], rank: int) -> bool:
     of the round's start, taken before any rule fires, and its old triggers
     are skipped.  rules come from _compile, once per chase.
     """
-    added = False
-    delta = state.layers.pop(rank - 1)
+    delta, state.added = state.added, AtomIndex()
     snapshot = state.index.snapshot() if any(len(body.atoms) != 1 for body, *_ in rules) else None
-    for body, existentials, head, head_plan in rules:
+    for body, existentials, head_plan in rules:
         if len(body.atoms) == 1:
             triggers = homomorphisms(body, delta)
         else:
             triggers = (h for h in homomorphisms(body, snapshot) if max(
                 (state.rank[apply_to_atom(h, a)] for a in body.atoms), default=0) >= rank - 1)
         for h in triggers:
-            # restricted check: skip if the head is already satisfied by an
-            # extension of the trigger (h binds the frontier, existentials free)
+            # restricted check: skip if an extension of the trigger, its
+            # existentials free, already satisfies the head
             if find_homomorphism(head_plan, state.index, h) is not None:
                 continue
-            trigger = sorted(apply_to_atom(h, a) for a in head)
+            trigger = sorted(apply_to_atom(h, a) for a in head_plan.atoms)
             ex_map = {e: state.fresh_null() for e in existentials}
             for a in trigger:
-                added |= state.add(apply_to_atom(ex_map, a), rank)
-    return added
+                state.add(apply_to_atom(ex_map, a), rank)
+    return bool(state.added.buckets)
 
 
-def chase(facts: Iterable[Atom], rules: Iterable[ExistentialRule], max_rank: int) -> ChaseState:
-    """Breadth-first restricted chase up to max_rank (or fixpoint)."""
+def _rounds(facts: Iterable[Atom], rules: Iterable[ExistentialRule],
+            max_rank: int) -> Iterator[ChaseState]:
+    """The one chase loop: the instance after rank 0, 1, ..., each yield the
+    same ChaseState, grown in place.  It stops at max_rank or after a round
+    that adds nothing, a fixpoint.  The rules are compiled once."""
     if max_rank < 0:
         raise ValueError("max_rank must be >= 0")
     state = ChaseState(facts)
     rules = _compile(rules)
+    yield state
     for r in range(1, max_rank + 1):
         if not _apply_round(state, rules, r):
-            break
+            return
+        yield state
+
+
+def chase(facts: Iterable[Atom], rules: Iterable[ExistentialRule], max_rank: int) -> ChaseState:
+    """Breadth-first restricted chase up to max_rank (or fixpoint)."""
+    *_, state = _rounds(facts, rules, max_rank)
     return state
 
 
@@ -149,24 +156,17 @@ def entails(
 ) -> EntailmentVerdict:
     """Bounded entailment: "yes" and "no" are certain; "unknown_at_bound" is
     returned when the rank bound or the optional atom budget is exhausted
-    before the chase reaches a fixpoint.  The rules and the query are
-    compiled into match plans once, for every round."""
-    if max_rank < 0:
-        raise ValueError("max_rank must be >= 0")
-    state = ChaseState(facts)
-    rules = _compile(rules)
+    before the chase reaches a fixpoint.  The query is compiled into a match
+    plan once, for every round."""
     query = MatchPlan(sorted(q.atoms))
-    for r in range(max_rank + 1):
+    for r, state in enumerate(_rounds(facts, rules, max_rank)):
         h = find_homomorphism(query, state.index)
         if h is not None:
             return EntailmentVerdict("yes", witness=h, ranks_used=r)
         if max_atoms is not None and len(state.atoms) > max_atoms:
             return EntailmentVerdict("unknown_at_bound", ranks_used=r)
-        if r == max_rank:
-            return EntailmentVerdict("unknown_at_bound", ranks_used=r)
-        if not _apply_round(state, rules, r + 1):
-            # fixpoint: the chase is a universal model, absence is definitive
-            return EntailmentVerdict("no", ranks_used=r)
+    # stopped below max_rank: a fixpoint, a universal model, so absence is definitive
+    return EntailmentVerdict("no" if r < max_rank else "unknown_at_bound", ranks_used=r)
 
 
 def check_one_step_soundness(

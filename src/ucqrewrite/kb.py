@@ -301,13 +301,10 @@ class ExistentialRule:
     label: str
     body: frozenset[Atom]
     head: frozenset[Atom]
-    frontier: frozenset[Term] = field(init=False, compare=False, repr=False)
     existentials: frozenset[Term] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        bv, hv = vars_of(self.body), vars_of(self.head)
-        object.__setattr__(self, "frontier", bv & hv)
-        object.__setattr__(self, "existentials", hv - bv)
+        object.__setattr__(self, "existentials", vars_of(self.head) - vars_of(self.body))
 
     @property
     def head_atom(self) -> Atom:

@@ -25,20 +25,18 @@ from .unification import (
 )
 
 
-def beta(q: ConjunctiveQuery, rule: ExistentialRule, mu: PieceUnifier) -> ConjunctiveQuery:
-    """One-step rewriting u(body) + u(q minus unified part), not canonicalized;
-    rule must be mu.rule, which mu is validated against.  q's answer variables
-    are folded into an answer atom first, so mu may not merge one with an
-    existential variable, and the rewriting keeps them.  u(body) and the
-    checks that do not read q are mu's, computed once."""
-    if rule is not mu.rule and rule != mu.rule:
-        raise ValueError(f"rule {rule.label!r} is not the unifier's rule {mu.rule.label!r}")
+def beta(q: ConjunctiveQuery, mu: PieceUnifier) -> ConjunctiveQuery:
+    """One-step rewriting u(body) + u(q minus unified part) with mu's rule,
+    not canonicalized.  q's answer variables are folded into an answer atom
+    first, so mu may not merge one with an existential variable, and the
+    rewriting keeps them.  u(body) and the checks that do not read q are
+    mu's, computed once."""
     q = attach_answer_atom(q)
     problems = validate_piece_unifier(q, mu)
     if problems:
         raise ValueError("invalid piece-unifier: " + "; ".join(problems))
     return ConjunctiveQuery(
-        mu.body_image | apply_to_atoms(mu.substitution, q.atoms - mu.q_part), ())
+        mu.body_image | apply_to_atoms(mu.partition.substitution, q.atoms - mu.q_part), ())
 
 
 Operator = Callable[[ConjunctiveQuery, Union[RuleBase, Iterable[ExistentialRule]]],
@@ -57,13 +55,12 @@ OPERATOR_KINDS = tuple(UNIFIERS)
 def make_operator(kind: str) -> Operator:
     """One-step rewriting: beta over each unifier of kind, each with its rule copy.
 
-    The operator takes the rules as a RuleBase, or as rules, which
-    ``compile_rules`` compiles for the query, or reuses while they are the
-    objects of its last call and the query is in their vocabulary.  A
-    query's answer variables are folded into an answer atom first, as
-    ``rewrite`` does, so every rewriting keeps them.  A query with variables
-    in the reserved namespace, such as a raw rewriting, is rewritten in its
-    canonical form, as it may share variables with the rule copies.
+    The operator takes the rules as a RuleBase, or as rules, which go
+    through ``compile_rules``, as its docstring says.  A query's answer
+    variables are folded into an answer atom first, as ``rewrite`` does, so
+    every rewriting keeps them.  A query with variables in the reserved
+    namespace, such as a raw rewriting, is rewritten in its canonical form,
+    as it may share variables with the rule copies.
     """
     unifiers = UNIFIERS.get(kind)
     if unifiers is None:
@@ -74,7 +71,7 @@ def make_operator(kind: str) -> Operator:
         if any(v.name.startswith(RESERVED_PREFIX) for v in q.variables()):
             q = canonicalize(q)
         base = compile_rules(rules, q)
-        return [beta(q, mu.rule, mu) for r in base.unifiable(q) for mu in unifiers(q, r)]
+        return [beta(q, mu) for r in base.unifiable(q) for mu in unifiers(q, r)]
 
     return op
 
@@ -133,16 +130,14 @@ def rewrite(
 
     Keeps a cover of everything generated so far, explored queries preferred,
     and explores only the queries that survived the cover step.  The rules
-    are a RuleBase, or rules that ``compile_rules`` compiles for the query,
-    or reuses while they are the objects of its last call and the query is
-    in their vocabulary; a RuleBase's copies and memos outlive the call and
-    serve the next query over it.  The cover sees each distinct raw
-    rewriting once per call, at the first level that makes it: a query leaves
-    the result set only for one that is >= it, so the result set still covers
-    each raw rewriting decided before, and the cover would drop it again.
-    Each query the cover keeps is processed once, as it enters the result
-    set.  Answer variables are folded into an answer atom first, so every
-    rewriting keeps them.
+    are a RuleBase, or rules that go through ``compile_rules``, as its
+    docstring says.  The cover sees each distinct raw rewriting once per
+    call, at the first level that makes it: a query leaves the result set
+    only for one that is >= it, so the result set still covers each raw
+    rewriting decided before, and the cover would drop it again.  Each query
+    the cover keeps is processed once, as it enters the result set.  Answer
+    variables are folded into an answer atom first, so every rewriting keeps
+    them.
     """
     limits = limits or Limits()
     start = time.monotonic()

@@ -12,7 +12,6 @@ from .kb import (
     ConjunctiveQuery,
     ExistentialRule,
     FreshCounter,
-    Substitution,
     Term,
     apply_to_atoms,
     memo,
@@ -29,11 +28,12 @@ class PieceUnifier:
     An aggregation of unifiers over renamed rule copies is one too, over
     their aggregated rule, with its members in ``members``.  What does not
     depend on the query is a memo view, computed once, on first use: the
-    associated substitution, the variables that must be non-separating
-    (``ex_vars``), whether the partition has the piece-unifier shape
-    (``shaped``), the validity checks that do not read the query
-    (``checks``) and u(rule.body) (``body_image``).  Copies and compiled
-    rules share a unifier among queries, so it is immutable."""
+    variables that must be non-separating (``ex_vars``), whether the
+    partition has the piece-unifier shape (``shaped``), the validity checks
+    that do not read the query (``checks``) and u(rule.body)
+    (``body_image``).  The associated substitution is the partition's.
+    Copies and compiled rules share a unifier among queries, so it is
+    immutable."""
 
     q_part: frozenset[Atom]
     h_part: frozenset[Atom]
@@ -43,13 +43,6 @@ class PieceUnifier:
     choice: tuple = ()
     # the merged unifiers, in copy order, when built by CompiledRule.aggregation
     members: tuple[PieceUnifier, ...] = ()
-
-    @memo
-    def substitution(self) -> Substitution:
-        """The partition's associated substitution: the mapping stored on the
-        partition, shared with every unifier over it, so no caller may change
-        it."""
-        return self.partition.substitution
 
     @memo
     def ex_vars(self) -> frozenset[Term]:
@@ -78,11 +71,10 @@ class PieceUnifier:
             len(cls & ex) < 2 for cls in self.partition.classes)
 
     @memo
-    def checks(self) -> tuple[tuple[str, ...], bool, Optional[tuple[str, ...]]]:
+    def checks(self) -> tuple[tuple[str, ...], Optional[tuple[str, ...]]]:
         """The query-independent part of validate_piece_unifier: the problems
-        found before the existential-class condition, ``shaped``, and the
-        problems after it, None when the partition is not admissible and the
-        checks stop."""
+        found before the existential-class condition, and the problems after
+        it, None when the partition is not admissible and the checks stop."""
         before = []
         if not self.h_part <= self.rule.head:
             before.append("h_part must be a subset of the rule head")
@@ -90,17 +82,17 @@ class PieceUnifier:
             before.append("partition carrier must be terms(q_part) + terms(h_part)")
         if not self.partition.admissible:
             before.append("partition not admissible")
-            return tuple(before), False, None
-        u = self.substitution
+            return tuple(before), None
+        u = self.partition.substitution
         after = []
         if apply_to_atoms(u, self.h_part) != apply_to_atoms(u, self.q_part):
             after.append("u(h_part) != u(q_part)")
-        return tuple(before), self.shaped, tuple(after)
+        return tuple(before), tuple(after)
 
     @memo
     def body_image(self) -> frozenset[Atom]:
         """u(rule.body), the query-independent half of a one-step rewriting."""
-        return apply_to_atoms(self.substitution, self.rule.body)
+        return apply_to_atoms(self.partition.substitution, self.rule.body)
 
     def cutpoints(self) -> frozenset[Term]:
         """Unified query variables not merged with an existential variable."""
@@ -133,11 +125,11 @@ def validate_piece_unifier(q: ConjunctiveQuery, mu: PieceUnifier) -> list[str]:
     mu.checks, computed once per unifier."""
     problems = [] if mu.q_part and mu.q_part <= q.atoms else [
         "q_part must be a non-empty subset of the query"]
-    before, shaped, after = mu.checks
+    before, after = mu.checks
     problems += before
     if after is None:
         return problems
-    if not shaped or _separating(q, mu.q_part, mu.ex_vars):
+    if not mu.shaped or _separating(q, mu.q_part, mu.ex_vars):
         problems.append(
             "class with an existential variable contains a term other than "
             "a non-separating query variable"
@@ -212,10 +204,7 @@ class CompiledRule:
         return self._copies[k]
 
     def aggregated(self, m: int) -> ExistentialRule:
-        """aggregate_rules over copies 0..m-1; copy 0's rule itself for m = 1,
-        as aggregate_rules of one rule equals that rule."""
-        if m == 1:
-            return self.copy(0).rule
+        """aggregate_rules over copies 0..m-1."""
         agg = self._aggregated.get(m)
         if agg is None:
             agg = self._aggregated[m] = aggregate_rules([self.copy(k).rule for k in range(m)])

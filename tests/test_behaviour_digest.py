@@ -1,5 +1,6 @@
 """scripts/behaviour_digest.py: the digest of what the program prints does not
-follow the string-hash seed, so two checkouts compare by it under any seed."""
+follow the string-hash seed, so two checkouts compare by it under any seed.
+It runs on ontology, which rewrites, and on random-linear, which also chases."""
 import os
 import re
 import subprocess
@@ -9,9 +10,9 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "behaviour_digest.py"
 
 
-def test_the_ontology_digest_is_the_same_under_two_hash_seeds():
+def test_the_ontology_and_random_linear_digest_is_the_same_under_two_hash_seeds():
     procs = [subprocess.Popen(
-        [sys.executable, str(SCRIPT), "ontology"], stdout=subprocess.PIPE,
+        [sys.executable, str(SCRIPT), "ontology", "random-linear"], stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, text=True,
         env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONDONTWRITEBYTECODE="1"))
         for seed in (0, 5)]

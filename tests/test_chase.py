@@ -429,3 +429,14 @@ def test_indexed_entails_matches_the_naive_chase(case, q, max_rank):
     rules, facts = case
     verdict = entails(facts, rules, q, max_rank, max_atoms=60)
     assert (verdict.value, verdict.ranks_used) == naive_entails(facts, rules, q, max_rank, 60)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chase_case(), st.integers(0, 5))
+def test_entails_and_chase_stop_at_the_same_rank(case, max_rank):
+    rules, facts = case
+    # no fact or rule has the predicate s, so only where the chase stops decides
+    verdict = entails(facts, rules, cq(atom("s", u)), max_rank)
+    last = max(chase(facts, rules, max_rank).rank.values(), default=0)
+    assert verdict.value == ("no" if last < max_rank else "unknown_at_bound")
+    assert verdict.ranks_used == last

@@ -273,7 +273,7 @@ def test_a_unifier_s_memos_hold_for_every_query_it_is_checked_against(case):
         assert unifier_set(single_piece_unifiers(q, copy)) == unifier_set(
             single_piece_unifiers(q, RuleCopy(copy.rule)))
     assert any(separating)
-    assert mu.body_image == apply_to_atoms(mu.substitution, copy.rule.body)
+    assert mu.body_image == apply_to_atoms(mu.partition.substitution, copy.rule.body)
 
 
 def test_a_copy_s_memoized_unifier_is_immutable_and_computes_each_view_once():
@@ -286,13 +286,13 @@ def test_a_copy_s_memoized_unifier_is_immutable_and_computes_each_view_once():
             setattr(mu, f.name, getattr(mu, f.name))
     fresh = RuleCopy(copy.rule).unifier(mu.choice)
     views = sorted(n for n, attr in vars(PieceUnifier).items() if isinstance(attr, memo))
-    assert views == ["body_image", "checks", "ex_vars", "shaped", "substitution"]
+    assert views == ["body_image", "checks", "ex_vars", "shaped"]
     for name in views:
         first = getattr(fresh, name)
         assert getattr(fresh, name) is first and vars(fresh)[name] is first
-    # the unifier's substitution is the one its partition computed and stored
-    assert fresh.substitution is fresh.partition.substitution
-    assert vars(fresh.partition)["substitution"] is fresh.substitution
+    # the associated substitution is the partition's, computed and stored once
+    sub = fresh.partition.substitution
+    assert fresh.partition.substitution is sub and vars(fresh.partition)["substitution"] is sub
     assert not set(views) & {f.name for f in fields(PieceUnifier)}
     assert repr(fresh) == repr(mu) and fresh != mu and validate_piece_unifier(q, fresh) == []
 
@@ -517,7 +517,7 @@ def test_each_aggregation_extending_its_prefix_equals_the_from_scratch_merge():
             assert agg.partition.classes == ref.partition.classes
             assert agg.rule == ref.rule
             assert agg.checks == ref.checks
-            assert agg.substitution == ref.substitution
+            assert agg.partition.substitution == ref.partition.substitution
             assert agg.body_image == ref.body_image
             seen[min(len(choices), 3)] += 1
         assert sorted(map(id, found)) == sorted(map(id, built))
