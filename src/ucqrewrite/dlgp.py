@@ -55,9 +55,6 @@ class Document:
     facts: list[frozenset[Atom]] = field(default_factory=list)
     queries: list[ConjunctiveQuery] = field(default_factory=list)
 
-    def fact_atoms(self) -> frozenset[Atom]:
-        return frozenset(a for f in self.facts for a in f)
-
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)

@@ -10,7 +10,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from itertools import count
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 VARIABLE = "variable"
 CONSTANT = "constant"
@@ -306,11 +306,6 @@ class ExistentialRule:
     def __post_init__(self):
         object.__setattr__(self, "existentials", vars_of(self.head) - vars_of(self.body))
 
-    @property
-    def head_atom(self) -> Atom:
-        (h,) = self.head
-        return h
-
     def variables(self) -> frozenset[Term]:
         return vars_of(self.body) | vars_of(self.head)
 
@@ -324,24 +319,19 @@ def rule(label: str, body: Iterable[Atom], head: Iterable[Atom]) -> ExistentialR
     return ExistentialRule(label, frozenset(body), frozenset(head))
 
 
-class FreshCounter:
-    """Source of fresh indices, increasing from start."""
-
-    def __init__(self, start: int = 0):
-        self._count = count(start)
-
-    def next(self) -> int:
-        return next(self._count)
+# a source of fresh indices, increasing from start; the benchmark builds its
+# counters by this name
+FreshCounter = count
 
 
-def freshen_rule(r: ExistentialRule, counter: FreshCounter) -> ExistentialRule:
+def freshen_rule(r: ExistentialRule, counter: Iterator[int]) -> ExistentialRule:
     """Rename all rule variables to fresh ones (one index per call).
 
     The names take the reserved prefix, which neither ``canonicalize`` (``v<i>``)
     nor the DLGP parser produces, so a copy shares no variable with a query
     that does not use the prefix, and copies with distinct indices share none.
     """
-    k = counter.next()
+    k = next(counter)
     mapping: Substitution = {}
     used: set[str] = set()
     for v in sorted(r.variables()):
@@ -354,7 +344,7 @@ def freshen_rule(r: ExistentialRule, counter: FreshCounter) -> ExistentialRule:
                            apply_to_atoms(mapping, r.head))
 
 
-def decompose_atomic_head(r: ExistentialRule, counter: FreshCounter) -> list[ExistentialRule]:
+def decompose_atomic_head(r: ExistentialRule, counter: Iterator[int]) -> list[ExistentialRule]:
     """Split a multi-atom-head rule into atomic-head rules via an aux predicate.
 
     The rewriter unifies multi-atom heads as written and never calls this;
@@ -364,7 +354,7 @@ def decompose_atomic_head(r: ExistentialRule, counter: FreshCounter) -> list[Exi
     """
     if len(r.head) <= 1:
         return [r]
-    aux_name = f"{AUX_PREFIX}{r.label}_{counter.next()}"
+    aux_name = f"{AUX_PREFIX}{r.label}_{next(counter)}"
     head_vars = tuple(sorted(vars_of(r.head)))
     aux = Atom(aux_name, head_vars)
     out = [ExistentialRule(f"{r.label}_aux", r.body, frozenset({aux}))]

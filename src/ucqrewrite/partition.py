@@ -58,9 +58,6 @@ class TermPartition:
                     sub[t] = rep
         return sub
 
-    def same_class(self, a: Term, b: Term) -> bool:
-        return a in self._class_of and b in self._class_of[a]
-
     def class_of(self, t: Term) -> frozenset[Term]:
         return self._class_of[t]
 

@@ -321,9 +321,10 @@ def single_piece_unifiers(
     closure; each query atom that joins a piece picks a head atom of its
     (predicate, arity), and the search branches over the picks.  A seed is
     left out of later pieces; with a one-atom head, so is an accepted piece,
-    as no other piece can share its atoms.  The rule is assumed
-    variable-disjoint from q.  A plain rule gets a RuleCopy of its own; a
-    RuleCopy's unifiers are reused across calls.
+    as no other piece can share its atoms.  The unifiers come by least atom,
+    their seed, as a piece grows only into atoms still in the pool.  The
+    rule is assumed variable-disjoint from q.  A plain rule gets a RuleCopy
+    of its own; a RuleCopy's unifiers are reused across calls.
     """
     copy = rule if isinstance(rule, RuleCopy) else RuleCopy(rule)
     positions = copy.positions
@@ -335,8 +336,7 @@ def single_piece_unifiers(
     out = []
     while pool:
         seed = min(pool)
-        todo = [((seed, 0),)] if atomic else [
-            ((seed, j),) for j in positions[seed.predicate, seed.arity]]
+        todo = [((seed, j),) for j in positions[seed.predicate, seed.arity]]
         while todo:
             mu = copy.unifier(todo.pop())
             if mu is None:
@@ -378,7 +378,8 @@ def enumerate_aggregated(
 ) -> list[PieceUnifier]:
     """Every compatible aggregation of single-piece unifiers, depth first.
 
-    The pieces are searched once, on copy 0; a renamed copy has the same.
+    The pieces are searched once, on copy 0, by least atom; a renamed copy
+    has the same.
     Member slot k is its unifier's choice over copy k, memoized there, so
     the members are pairwise variable-disjoint; copy k is built when a
     (k+1)-member candidate is first tried.  An aggregation of m members uses
@@ -390,7 +391,7 @@ def enumerate_aggregated(
     that keeps the compiled rule alive until the cycle collector runs.
     """
     compiled = rule if isinstance(rule, CompiledRule) else CompiledRule(rule)
-    base = sorted(single_piece_unifiers(q, compiled.copy(0)), key=lambda m: min(m.q_part))
+    base = single_piece_unifiers(q, compiled.copy(0))
     out: list[PieceUnifier] = []
     # (members' choices, next piece to try); a failed aggregation stays failed
     # under more members: parts overlap or the joined partition only merges
@@ -410,7 +411,7 @@ def enumerate_aggregated(
 
 
 def _finest(mus: list[PieceUnifier]) -> list[PieceUnifier]:
-    """For each (q_part, h_part), the first unifier of each finest partition."""
+    """For each (q_part, h_part), the first unifier of each finest partition, in order."""
     return [mu for i, mu in enumerate(mus) if not any(
         o.q_part == mu.q_part and o.h_part == mu.h_part and finer_than(o.partition, mu.partition)
         and (k < i or o.partition != mu.partition) for k, o in enumerate(mus) if k != i)]

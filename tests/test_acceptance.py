@@ -82,7 +82,7 @@ def test_acceptance_1_worked_examples():
     }
     assert canonicalize(beta(q1, pair[0])) == canonicalize(cq(atom("q", x), atom("r", x, x)))
     # the stated fact base does not entail the query
-    facts = parse_document(load("simple_existential_facts.dlgp")).fact_atoms()
+    facts = frozenset().union(*parse_document(load("simple_existential_facts.dlgp")).facts)
     assert not entails(facts, [r1], q1, 4).is_yes
 
     # two-rule loop: infinitely many rewritings, cover of cardinality 2
@@ -319,7 +319,7 @@ def test_acceptance_9_bundled_ontology_statistics_match_baselines():
     assert len(rules) == 50
     hierarchy = [r for r in rules if len(r.body) == 1 and len(r.head) == 1
                  and not r.existentials
-                 and r.head_atom.arity == next(iter(r.body)).arity]
+                 and next(iter(r.head)).arity == next(iter(r.body)).arity]
     assert len(hierarchy) >= 30
     assert len(queries) == len(baselines) == 4
     for q, base in zip(queries, baselines):

@@ -175,7 +175,8 @@ def test_rules_that_share_a_label_do_not_share_an_aux_predicate(capsys, tmp_path
                   for d in decompose_atomic_head(r, counter)]
     q = parse_document(open(query).read()).queries[0]
     for facts in ("a(c).", "b(c)."):
-        assert entails(parse_document(facts).fact_atoms(), decomposed, q, 5).value == "no"
+        assert entails(frozenset().union(*parse_document(facts).facts), decomposed, q,
+                       5).value == "no"
 
 
 def test_compare_output_counts_the_printed_queries(capsys, tmp_path):
@@ -187,6 +188,16 @@ def test_compare_output_counts_the_printed_queries(capsys, tmp_path):
                        "--operators", "aggregated,full-piece", "--json")
     assert code == 0
     assert [row["output"] for row in json.loads(out)] == [printed, printed] == [2, 2]
+
+
+def test_compare_refuses_complete_operators_that_disagree(capsys, monkeypatch):
+    # a full-piece operator that finds no unifier keeps only the query itself
+    monkeypatch.setitem(ucqrewrite.rewriting.UNIFIERS, "full-piece", lambda q, r: [])
+    code, out, err = run(capsys, "compare", "--rules", RULES, "--query", RULES,
+                         "--operators", "full-piece,aggregated", "--json")
+    assert [row["output"] for row in json.loads(out)] == [1, 2]
+    assert code == 3
+    assert err == "cover cardinality mismatch across sound+complete operators\n"
 
 
 def test_rewrite_prints_what_serialize_returns(capsys, tmp_path):

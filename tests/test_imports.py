@@ -122,12 +122,9 @@ def test_checker_finds_unread_public_names():
 # public definitions that no package module, benchmark or script reads, each
 # with what keeps it; a helper that only its own test calls is not on this list
 UNREAD_PUBLIC = {
-    "Document.fact_atoms": "the facts of a parsed document as one set, for callers that chase them",
     "equivalent": "homomorphic equivalence, the reference the tests compare covers by",
     "isomorphic": "isomorphism by canonical form, the reference the tests compare queries by",
     "cq": "the query constructor the tests and library callers build queries with",
-    "ExistentialRule.head_atom": "the one head atom of an atomic-head rule, asserted by tests",
-    "TermPartition.same_class": "class membership, the partition tests' observable",
     "saturate": "un-pruned k-saturation, the reference the cover is checked against",
     "PieceUnifier.cutpoints": "the paper's cutpoints, with pieces() the single-piece reference",
     "pieces": "the paper's pieces, the reference the single-piece unifiers are checked against",

@@ -137,7 +137,7 @@ def test_query_allows_constant_answer_binding():
     assert q.answer_vars == (a,)
 
 
-def test_rule_frontier_and_existentials():
+def test_rule_existentials_are_the_head_only_variables():
     r = rule("r", [atom("q", x)], [atom("p", x, y)])
     assert r.existentials == {y}
 
@@ -150,14 +150,14 @@ def test_a_predicate_with_two_arities_is_rejected_at_the_second_atom():
     assert str(e.value) == "predicate 'p' used with arities 1 and 2 at 1:7"
 
 
-def test_check_arities_conflict():
+def test_parser_rejects_two_arities_in_one_rule_body():
     # two arities of one predicate inside a single rule body
     with pytest.raises(DlgpError) as e:
         parse_document("q(X) :- p(X), p(X,Y).")
     assert str(e.value) == "predicate 'p' used with arities 1 and 2 at 1:15"
 
 
-def test_knowledge_base_validates_arities():
+def test_parser_rejects_a_head_and_body_arity_conflict():
     # the head of a rule and its body disagree on the arity of q
     with pytest.raises(DlgpError) as e:
         parse_document("[r] q(X,Y) :- q(X).")
@@ -174,10 +174,12 @@ def test_freshen_rule_disjoint_and_structure_preserving():
 
 
 def test_freshen_rule_name_collision():
-    # a variable literally named x1 must not clash with x freshened to index 1
-    r = rule("r", [atom("p", var("x"), var("x1"))], [atom("q", var("x"))])
+    # x at index 1 and a variable named x1 both print as x1; their copies stay apart
+    x_1, x1 = var("x", 1), var("x1")
+    assert str(x_1) == str(x1) == "x1"
+    r = rule("r", [atom("p", x_1, x1)], [atom("q", x_1)])
     f = freshen_rule(r, FreshCounter(1))
-    assert len(next(iter(f.body)).args) == 2
+    assert len(set(next(iter(f.body)).args)) == 2
     assert len(f.variables()) == 2
 
 
@@ -186,10 +188,11 @@ def test_decompose_atomic_head():
     out = decompose_atomic_head(r, FreshCounter())
     assert len(out) == 3
     aux_rule = out[0]
-    assert aux_rule.head_atom.predicate.startswith("__aux_")
+    (aux,) = aux_rule.head
+    assert aux.predicate.startswith("__aux_")
     assert all(len(rr.head) == 1 for rr in out)
     # aux atom carries every head variable
-    assert set(aux_rule.head_atom.args) == {x, y, z}
+    assert set(aux.args) == {x, y, z}
 
 
 def test_answer_atom_round_trip():

@@ -97,6 +97,11 @@ def test_operators_keep_the_answer_variables_of_a_non_boolean_query(kind):
         attach_answer_atom(cq(atom("q", u), answer_vars=(u,))))
 
 
+def test_an_unknown_operator_kind_is_refused():
+    with pytest.raises(ValueError, match="^unknown operator kind 'bogus'$"):
+        make_operator("bogus")
+
+
 UNIFIER_FUNCTIONS = {"full-piece": "general_piece_unifiers",
                      "single-piece": "single_piece_unifiers",
                      "aggregated": "enumerate_aggregated"}

@@ -525,6 +525,24 @@ def test_each_aggregation_extending_its_prefix_equals_the_from_scratch_merge():
     assert seen[2] > 500 and seen[3] > 150 and clashes > 30
 
 
+def test_single_piece_unifiers_come_by_least_atom():
+    # enumerate_aggregated tries the pieces in this order without sorting them
+    ties = 0
+    for seed in range(300):
+        rules, q = random_multi_head_instance(random.Random(seed))
+        instances = [(attach_answer_atom(q), rules)]
+        rng = random.Random(seed)
+        rules = random_linear_rules(rng, rng.randint(1, 6))
+        instances.append((random_query(rng, rules), rules))
+        for q, rules in instances:
+            for r in rules:
+                least = [min(m.q_part) for m in single_piece_unifiers(q, CompiledRule(r).copy(0))]
+                assert least == sorted(least)
+                ties += len(least) - len(set(least))
+    # several unifiers grown from one seed share their least atom
+    assert ties > 0
+
+
 def test_the_six_link_diamond_joins_once_per_multi_member_aggregation(monkeypatch):
     calls = []
     join = unification.join
