@@ -174,9 +174,9 @@ def test_rules_that_share_a_label_do_not_share_an_aux_predicate(capsys, tmp_path
     decomposed = [d for r in parse_document(open(rules).read()).rules
                   for d in decompose_atomic_head(r, counter)]
     q = parse_document(open(query).read()).queries[0]
-    for facts in ("a(c).", "b(c)."):
-        assert entails(frozenset().union(*parse_document(facts).facts), decomposed, q,
-                       5).value == "no"
+    for text in ("a(c).", "b(c)."):
+        facts = frozenset().union(*parse_document(text).facts)
+        assert entails(facts, decomposed, q, 5).value == "no"
 
 
 def test_compare_output_counts_the_printed_queries(capsys, tmp_path):
