@@ -206,10 +206,11 @@ def verify_rewriting_set(
     ground seeds so the ground truth stays decidable at the chosen rank.  A
     fact base is a counterexample when an answer of q on its bounded chase,
     free of the chase's nulls, is an answer of no cover query on it; a
-    Boolean q has the one answer ().
+    Boolean q has the one answer ().  The rewritings are listed in the order
+    ``ucqrewrite rewrite`` prints them.
     """
     rules = list(rules)
-    ucq = sorted(result.cover, key=ConjunctiveQuery.sort_key)
+    ucq = sorted(result.cover, key=lambda qi: query_to_dlgp(strip_answer_atom(qi)))
     depth = result.depth_reached
     base_rank = 2 * depth + 2
 

@@ -279,7 +279,7 @@ def serialize(obj, format: str = "dlgp") -> str:
             "facts": [sorted(str(a) for a in f) for f in obj.facts],
             "queries": [query_to_dlgp(q) for q in obj.queries],
         }
-        return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+        return json.dumps(payload, indent=2) + "\n"
     queries = printed_cover(obj)
     if format == "dlgp":
         return "".join(f"{line}\n" for line in queries)

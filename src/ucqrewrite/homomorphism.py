@@ -135,9 +135,7 @@ def find_homomorphism(
     target: Union[AtomIndex, Iterable[Atom]],
     binding: Optional[Substitution] = None,
 ) -> Optional[Substitution]:
-    for h in homomorphisms(source, target, binding):
-        return h
-    return None
+    return next(homomorphisms(source, target, binding), None)
 
 
 def more_general(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
@@ -258,14 +256,14 @@ def cover(
     """Minimal subset covering explored + fresh under >=.
 
     explored must be pairwise incomparable, as the rewriting loop's result set
-    is, so no two explored queries are compared.  Each fresh query, in
-    ConjunctiveQuery.sort_key order, is dropped if a kept query is >= it, and
-    otherwise evicts every kept query it is >= and is kept.  So within an
-    equivalence class an explored query is preferred, then the least sort key.
+    is, so no two explored queries are compared.  Each fresh query, in the
+    order given, is dropped if a kept query is >= it, and otherwise evicts
+    every kept query it is >= and is kept.  So within an equivalence class
+    the explored query is kept, and otherwise the first fresh one.
     """
     kept = list(explored)
     # a >= b needs a.signature <= b.signature, tested first and inline
-    for x in sorted(fresh, key=ConjunctiveQuery.sort_key):
+    for x in fresh:
         sig = x.signature
         for k in kept:
             if k.signature <= sig and more_general(k, x):

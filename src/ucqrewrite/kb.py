@@ -211,7 +211,7 @@ class ConjunctiveQuery:
 
     answer_vars may contain constants after rewriting steps bind an answer
     position; variable entries must occur in the atom set.  The views index,
-    plan, occurrences, signature, sort_key and the answer-atom form (see
+    plan, occurrences, signature and the answer-atom form (see
     attach_answer_atom) are memo views.
     """
 
@@ -270,17 +270,6 @@ class ConjunctiveQuery:
         if self.is_boolean:
             return frozenset(self.index.buckets)
         return frozenset(self.index.buckets) | {(ANS_PREDICATE, len(self.answer_vars))}
-
-    @memo
-    def _sort_key(self) -> tuple:
-        # an atom starts with (predicate, arity): the buckets in key order hold
-        # the atoms in sorted order
-        buckets = self.index.buckets
-        return tuple(a for k in sorted(buckets) for a in buckets[k])
-
-    def sort_key(self) -> tuple:
-        """The atoms in sorted order."""
-        return self._sort_key
 
     def __str__(self) -> str:
         body = " & ".join(str(a) for a in sorted(self.atoms))
@@ -413,7 +402,7 @@ def canonicalize(q: ConjunctiveQuery) -> ConjunctiveQuery:
 
     Colour refinement, then individualization-refinement (McKay and Piperno,
     J. Symb. Comput. 2014), constants and answer positions fixed: the least
-    leaf by (sort_key, answer keys), skipping branches automorphic to one seen.
+    leaf by (sorted atoms, answer keys), skipping branches automorphic to one seen.
     """
     vs = sorted(q.variables())
     n, index = len(vs), {v: i for i, v in enumerate(vs)}

@@ -129,7 +129,9 @@ def rewrite(
     """Breadth-first cover maintenance over the one-step rewriting operator.
 
     Keeps a cover of everything generated so far, explored queries preferred,
-    and explores only the queries that survived the cover step.  The rules
+    and explores only the queries that survived the cover step, in the order
+    the operator made them: the result set and frontier keep insertion order,
+    so no step sorts and the work done repeats under any hash seed.  The rules
     are a RuleBase, or rules that go through ``compile_rules``, as its
     docstring says.  The cover sees each distinct raw rewriting once per
     call, at the first level that makes it: a query leaves the result set
@@ -143,8 +145,8 @@ def rewrite(
     start = time.monotonic()
     q0 = process(attach_answer_atom(q))
     rules = compile_rules(rules, q0)
-    qf: set[ConjunctiveQuery] = {q0}
-    qe: set[ConjunctiveQuery] = {q0}
+    qf: dict[ConjunctiveQuery, None] = {q0: None}  # the result set, in insertion order
+    qe: list[ConjunctiveQuery] = [q0]
     generated = 0
     explored = 0
     depth = 0
@@ -156,7 +158,7 @@ def rewrite(
         if limits.max_depth is not None and depth >= limits.max_depth:
             break
         raw: list[ConjunctiveQuery] = []
-        for cur in sorted(qe, key=ConjunctiveQuery.sort_key):
+        for cur in qe:
             raw.extend(op(cur, rules))
         generated += len(raw)
         explored += len(qe)
@@ -168,19 +170,19 @@ def rewrite(
                 seen.add(key)
                 fresh.append(x)
         qc = cover(explored=qf, fresh=fresh)
-        qe = {process(x) for x in qc - qf}
-        qf = (qc & qf) | qe
+        qe = [process(x) for x in fresh if x in qc and x not in qf]
+        qf = dict.fromkeys([k for k in qf if k in qc] + qe)
         if qe:
             depth += 1
         if debug_invariants:
-            _check_invariants(qf, qe, op, rules)
+            _check_invariants(set(qf), set(qe), op, rules)
         if limits.max_generated is not None and generated > limits.max_generated:
             break
         if limits.timeout is not None and time.monotonic() - start > limits.timeout:
             break
 
     return RewritingResult(
-        cover=qf,
+        cover=set(qf),
         generated_count=generated,
         explored_count=explored,
         depth_reached=depth,

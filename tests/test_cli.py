@@ -228,16 +228,19 @@ def test_verify_with_facts_file(capsys, tmp_path):
 
 
 def test_verify_names_rewritings_as_rewrite_prints_them(capsys, tmp_path):
-    rules = write(tmp_path, "m.dlgp", "[r1] p(X,Y), s(Y) :- q(X).\n")
-    query = write(tmp_path, "q.dlgp", "?(U) :- p(U,V), s(V).\n")
-    code, out, _ = run(capsys, "rewrite", "--rules", rules, "--query", query)
-    assert code == 0
-    printed = out.splitlines()
-    code, out, _ = run(capsys, "verify", "--rules", rules, "--query", query,
-                       "--samples", "5")
-    assert code == 0
-    names = [e["query"] for e in json.loads(out)["rewritings"]]
-    assert sorted(names) == printed
+    # on the second input the rewriting ?(a) :- s(X0). is printed second
+    for rules_text, query_text in [("[r1] p(X,Y), s(Y) :- q(X).\n", "?(U) :- p(U,V), s(V).\n"),
+                                   ("[r1] p(a) :- s(X).\n", "?(U) :- p(U).\n")]:
+        rules = write(tmp_path, "m.dlgp", rules_text)
+        query = write(tmp_path, "q.dlgp", query_text)
+        code, out, _ = run(capsys, "rewrite", "--rules", rules, "--query", query)
+        assert code == 0
+        printed = out.splitlines()
+        code, out, _ = run(capsys, "verify", "--rules", rules, "--query", query,
+                           "--samples", "5")
+        assert code == 0
+        names = [e["query"] for e in json.loads(out)["rewritings"]]
+        assert names == printed
 
 
 def test_verify_chases_the_rules_as_parsed(capsys, monkeypatch, tmp_path):

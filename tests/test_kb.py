@@ -349,11 +349,9 @@ def test_cached_views_match_a_fresh_computation(seed, n_answers):
         k: sorted(at for at in atoms if (at.predicate, at.arity) == k)
         for k in pairs}
     assert q.signature == pairs | ({(ANS_PREDICATE, n_answers)} if answers else set())
-    assert q.sort_key() == tuple(sorted(atoms))
     # views computed on one side only, then on both, never change equality or hash
     assert q == twin and twin == q and hash(q) == hash(twin) and {q, twin} == {q}
-    assert (twin.index.buckets, twin.signature, twin.sort_key()) == (
-        q.index.buckets, q.signature, q.sort_key())
+    assert (twin.index.buckets, twin.signature) == (q.index.buckets, q.signature)
     assert q == twin and hash(q) == hash(twin)
 
 
@@ -380,8 +378,7 @@ def test_a_memo_view_is_computed_once_and_kept_out_of_equality_and_hashing():
     # each view of a query is computed on first use and then read from the instance
     q = cq(atom("p", x, y), atom("r", y, a), answer_vars=(x,))
     views = memo_views(ConjunctiveQuery)
-    assert views == ["_answer_atom_form", "_sort_key", "index", "occurrences", "plan",
-                     "signature"]
+    assert views == ["_answer_atom_form", "index", "occurrences", "plan", "signature"]
     assert not set(views) & {f.name for f in fields(ConjunctiveQuery)}
     for name in views:
         first = getattr(q, name)

@@ -484,7 +484,7 @@ def aggregation_inputs():
         rules, q = random_multi_head_instance(random.Random(seed))
         res = rewrite(q, rules, make_operator("aggregated"),
                       Limits(max_depth=2, max_generated=100, timeout=None))
-        queries = [q] + sorted(res.cover, key=lambda c: c.sort_key())[:5]
+        queries = [q] + sorted(res.cover, key=lambda c: sorted(c.atoms))[:5]
         for qq in queries:
             for r in rules:
                 yield attach_answer_atom(qq), r
