@@ -210,16 +210,18 @@ def verify_rewriting_set(
     ``ucqrewrite rewrite`` prints them.
     """
     rules = list(rules)
-    ucq = sorted(result.cover, key=lambda qi: query_to_dlgp(strip_answer_atom(qi)))
+    printed = sorted(((query_to_dlgp(strip_answer_atom(qi)), qi) for qi in result.cover),
+                     key=lambda e: e[0])
+    ucq = [qi for _, qi in printed]
     depth = result.depth_reached
     base_rank = 2 * depth + 2
 
     report: dict = {"sound": True, "rewritings": [], "minimal": True,
                     "complete_sampled": True, "counterexamples": []}
 
-    for qi in ucq:
+    for text, qi in printed:
         verdict = entails(qi.atoms, rules, q, 2 * base_rank)
-        entry = {"query": query_to_dlgp(strip_answer_atom(qi)), "sound": verdict.is_yes,
+        entry = {"query": text, "sound": verdict.is_yes,
                  "ranks_used": verdict.ranks_used}
         report["rewritings"].append(entry)
         if not verdict.is_yes:

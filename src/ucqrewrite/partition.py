@@ -10,16 +10,18 @@ def _admissible(cls: frozenset[Term]) -> bool:
     return sum(1 for t in cls if t.is_constant) <= 1
 
 
-def _merge(class_of: dict[Term, frozenset[Term]], group: Iterable[Term]) -> None:
+def _merge(class_of: dict[Term, frozenset[Term]], group: Iterable[Term]) -> frozenset[Term]:
     """Replace every class of class_of, a map from each term to its class,
-    that the group touches by their union with the group."""
+    that the group touches by their union with the group; return the class
+    that holds the group."""
     group = frozenset(group)
     touched = {class_of[t] for t in group if t in class_of}
     if len(touched) == 1 and group <= next(iter(touched)):
-        return  # already inside one class
+        return next(iter(touched))  # already inside one class
     merged = group.union(*touched)
     for t in merged:
         class_of[t] = merged
+    return merged
 
 
 class TermPartition:
@@ -36,12 +38,12 @@ class TermPartition:
         for group in groups:
             _merge(class_of, group)
         self._set(class_of)
+        self.admissible = all(_admissible(c) for c in self.classes)
 
     def _set(self, class_of: dict[Term, frozenset[Term]]) -> None:
         self._class_of = class_of
         self.classes: frozenset[frozenset[Term]] = frozenset(class_of.values())
         self.carrier: frozenset[Term] = frozenset(class_of)
-        self.admissible = all(_admissible(c) for c in self.classes)
 
     @memo
     def substitution(self) -> Substitution:
@@ -76,12 +78,17 @@ def join(p1: TermPartition, p2: TermPartition) -> TermPartition:
     """Union of non-disjoint classes until stability; carrier is the union.
 
     p2's classes are merged into a copy of p1's class map, one at a time, so
-    only the classes they touch are rebuilt."""
+    only the classes they touch are rebuilt.  A merge only grows classes, so
+    the join is admissible exactly when p1 is and every class a merge
+    returns is: those are the only classes checked."""
     class_of = dict(p1._class_of)
+    admissible = p1.admissible
     for c in p2.classes:
-        _merge(class_of, c)
+        merged = _merge(class_of, c)
+        admissible = admissible and _admissible(merged)
     out = TermPartition.__new__(TermPartition)
     out._set(class_of)
+    out.admissible = admissible
     return out
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, KeysView, Optional, Union
 
 from .kb import (
     RESERVED_PREFIX,
@@ -87,7 +87,10 @@ class Limits:
 
 @dataclass
 class RewritingResult:
-    cover: set[ConjunctiveQuery]
+    """What ``rewrite`` returns.  ``cover`` is a set-like view of the result
+    set in the order ``rewrite`` kept its queries."""
+
+    cover: KeysView[ConjunctiveQuery]
     generated_count: int = 0
     explored_count: int = 0
     depth_reached: int = 0
@@ -136,8 +139,10 @@ def rewrite(
     docstring says.  The cover sees each distinct raw rewriting once per
     call, at the first level that makes it: a query leaves the result set
     only for one that is >= it, so the result set still covers each raw
-    rewriting decided before, and the cover would drop it again.  Each query
-    the cover keeps is processed once, as it enters the result set.  Answer
+    rewriting decided before, and the cover would drop it again.  Each raw
+    rewriting the cover keeps is processed as it enters the result set, once
+    per RuleBase: its processed form is kept in ``rules.processed`` and
+    shared by every later rewrite over that RuleBase that keeps it.  Answer
     variables are folded into an answer atom first, so every rewriting keeps
     them.
     """
@@ -151,8 +156,9 @@ def rewrite(
     explored = 0
     depth = 0
     # the raw rewritings given to cover so far, as fields only: a query would
-    # keep its cached views alive
+    # keep its cached views alive; rules.processed is keyed alike
     seen: set[tuple] = set()
+    processed = rules.processed
 
     while qe:
         if limits.max_depth is not None and depth >= limits.max_depth:
@@ -170,7 +176,14 @@ def rewrite(
                 seen.add(key)
                 fresh.append(x)
         qc = cover(explored=qf, fresh=fresh)
-        qe = [process(x) for x in fresh if x in qc and x not in qf]
+        qe = []
+        for x in fresh:
+            if x in qc and x not in qf:
+                key = x.atoms, x.answer_vars
+                kept = processed.get(key)
+                if kept is None:
+                    kept = processed[key] = process(x)
+                qe.append(kept)
         qf = dict.fromkeys([k for k in qf if k in qc] + qe)
         if qe:
             depth += 1
@@ -182,7 +195,7 @@ def rewrite(
             break
 
     return RewritingResult(
-        cover=set(qf),
+        cover=qf.keys(),
         generated_count=generated,
         explored_count=explored,
         depth_reached=depth,

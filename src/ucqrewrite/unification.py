@@ -153,8 +153,9 @@ def pieces(atoms: Iterable[Atom], cutpoint_set: Iterable[Term]) -> list[frozense
 
 class RuleCopy:
     """A rule renamed apart by ``kb.freshen_rule``, with its sorted head, the
-    positions of its head atoms by (predicate, arity), and the candidate
-    unifier of each choice it has been tried on.
+    positions of its head atoms by (predicate, arity), the candidate unifier
+    of each choice it has been tried on, and the single-piece unifiers of
+    each query's atoms it has been searched with.
 
     A choice is a tuple of (query atom, head position) pairs, in the order
     the atoms joined the piece; a renamed copy sorts its head alike, so every
@@ -167,6 +168,7 @@ class RuleCopy:
         for j, h in enumerate(self.head):
             self.positions.setdefault((h.predicate, h.arity), []).append(j)
         self._unifiers: dict[tuple, Optional[PieceUnifier]] = {}
+        self._pieces: dict[frozenset[Atom], tuple[PieceUnifier, ...]] = {}
 
     def unifier(self, choice: tuple) -> Optional[PieceUnifier]:
         """The choice's atoms unified position by position; None when the
@@ -245,10 +247,12 @@ class CompiledRule:
 
 class RuleBase:
     """A rule set, compiled once: each rule's copies and memos, an index of
-    the rules by the (predicate, arity) of their heads, and the rules'
-    constants.  Nothing here reads a query, but the memos are keyed by query
-    atoms: they serve every query rewritten over this RuleBase that makes the
-    same choices, and they grow with the distinct choices made.
+    the rules by the (predicate, arity) of their heads, the rules' constants,
+    and ``processed``, which maps each raw rewriting ``rewrite`` kept over
+    this RuleBase, by its fields, to its processed form.  Nothing here reads
+    a query, but the memos are keyed by query atoms: they serve every query
+    rewritten over this RuleBase that makes the same choices or the same
+    rewritings, and they grow with the distinct ones made.
     ``compile_rules`` keeps the last one built for queries whose memos stay
     bounded."""
 
@@ -260,6 +264,7 @@ class RuleBase:
                 self._by_head.setdefault(key, []).append(i)
         self.constants = frozenset(t for c in self.rules
                                    for t in terms_of(c.rule.body | c.rule.head) if t.is_constant)
+        self.processed: dict[tuple, ConjunctiveQuery] = {}
 
     def unifiable(self, q: ConjunctiveQuery) -> list[CompiledRule]:
         """The rules, in input order, with a head atom whose (predicate, arity)
@@ -314,7 +319,7 @@ def compile_rules(rules: Union[RuleBase, Iterable[ExistentialRule]],
 
 def single_piece_unifiers(
     q: ConjunctiveQuery, rule: Union[ExistentialRule, RuleCopy]
-) -> list[PieceUnifier]:
+) -> tuple[PieceUnifier, ...]:
     """All most general single-piece unifiers of q with the rule.
 
     Grows candidate pieces from each seed, in atom order, by sticky-variable
@@ -324,9 +329,14 @@ def single_piece_unifiers(
     as no other piece can share its atoms.  The unifiers come by least atom,
     their seed, as a piece grows only into atoms still in the pool.  The
     rule is assumed variable-disjoint from q.  A plain rule gets a RuleCopy
-    of its own; a RuleCopy's unifiers are reused across calls.
+    of its own; a RuleCopy keeps its unifiers and the result for each q.atoms,
+    which the search alone reads, so every query with those atoms shares one
+    search.  The result is a tuple, as the memo hands it to every caller.
     """
     copy = rule if isinstance(rule, RuleCopy) else RuleCopy(rule)
+    found = copy._pieces.get(q.atoms)
+    if found is not None:
+        return found
     positions = copy.positions
     buckets = q.index.buckets
     pool = set()
@@ -356,7 +366,8 @@ def single_piece_unifiers(
                     todo.append(mu.choice + tuple(zip(grown, picks)))
         pool.discard(seed)  # already gone if its piece was accepted
     # a piece that several choices reach keeps its finest partitions
-    return out if atomic else _finest(out)
+    found = copy._pieces[q.atoms] = tuple(out if atomic else _finest(out))
+    return found
 
 
 def aggregate_rules(rules: list[ExistentialRule]) -> ExistentialRule:

@@ -279,7 +279,10 @@ def test_a_unifier_s_memos_hold_for_every_query_it_is_checked_against(case):
 def test_a_copy_s_memoized_unifier_is_immutable_and_computes_each_view_once():
     copy = RuleCopy(rule("r", [atom("q", x)], [atom("p", x, y), atom("s", y)]))
     q = cq(atom("p", u, v), atom("s", v))
-    (mu,) = single_piece_unifiers(q, copy)
+    found = single_piece_unifiers(q, copy)
+    (mu,) = found
+    # the copy keeps each atom set's search, as a tuple no caller can change
+    assert isinstance(found, tuple) and single_piece_unifiers(cq(*q.atoms), copy) is found
     assert copy.unifier(mu.choice) is mu
     for f in fields(PieceUnifier):
         with pytest.raises(FrozenInstanceError):
@@ -334,11 +337,11 @@ def test_a_copy_keeps_a_choice_s_unifier_exactly_when_the_plain_set_check_finds_
 def test_unifiable_rejects_existential_frontier_merge():
     r = rule("r", [atom("q", x)], [atom("p", x, y)])
     # p(u,u) forces x and y together: frontier meets existential
-    assert single_piece_unifiers(cq(atom("p", u, u)), r) == []
+    assert single_piece_unifiers(cq(atom("p", u, u)), r) == ()
     (mu,) = single_piece_unifiers(cq(atom("p", u, v)), r)
     assert mu.q_part == {atom("p", u, v)}
     # constant in the existential position
-    assert single_piece_unifiers(cq(atom("p", u, a)), r) == []
+    assert single_piece_unifiers(cq(atom("p", u, a)), r) == ()
 
 
 def test_sticky_variables():
@@ -348,7 +351,7 @@ def test_sticky_variables():
     (mu,) = single_piece_unifiers(q, r)
     assert mu.q_part == {atom("p", u, v), atom("p", w, v)}
     # v is sticky and reaches s(v), which the head cannot unify: no piece
-    assert single_piece_unifiers(cq(atom("p", u, v), atom("s", v)), r) == []
+    assert single_piece_unifiers(cq(atom("p", u, v), atom("s", v)), r) == ()
     # u is separating but meets only the frontier: not sticky
     (mu,) = single_piece_unifiers(cq(atom("p", u, v), atom("s", u)), r)
     assert mu.q_part == {atom("p", u, v)}
