@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -53,10 +54,15 @@ def check_checkout(checkout: Path) -> None:
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``bench/run.py`` run in checkout; its result record."""
+    """One ``bench/run.py`` run in checkout; its result record.
+
+    The run gets the caller's environment with ``PYTHONDONTWRITEBYTECODE``
+    set, so it writes no ``__pycache__`` into the checkout that
+    ``check_checkout`` found clean, and later runs compile afresh too."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}:\n"
                            f"{proc.stderr}")

@@ -3,7 +3,10 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .kb import Substitution, Term, memo
+from .kb import RESERVED_PREFIX, Substitution, Term, memo, var
+
+# the rule copies' variables, named with kb's RESERVED_PREFIX, run from the first to the second
+_RESERVED = var(RESERVED_PREFIX), var(RESERVED_PREFIX[:-1] + chr(ord(RESERVED_PREFIX[-1]) + 1))
 
 
 def _admissible(cls: frozenset[Term]) -> bool:
@@ -47,16 +50,20 @@ class TermPartition:
 
     @memo
     def substitution(self) -> Substitution:
-        """Map each term to its class minimum (constants win by the term order);
-        raises on an inadmissible partition.  Every unifier over the partition
-        shares the one mapping, so no caller may change it."""
+        """Map each variable to its class's representative: the constant, else
+        the least variable outside ``RESERVED_PREFIX``, else the least one.  As a
+        rewriting is defined up to renaming (Baget et al., AIJ 2011), it may keep
+        the query's names, and equal rewritings reached apart then coincide.
+        Raises on an inadmissible partition; no caller may change the shared mapping."""
         if not self.admissible:
             raise ValueError("partition is not admissible")
         sub = {}
         for cls in self.classes:
-            rep = min(cls)
+            rep = min(cls)  # a constant sorts first
+            if _RESERVED[0] <= rep < _RESERVED[1]:  # any other variable sorts after them
+                rep = min([t for t in cls if t >= _RESERVED[1]] or cls)
             for t in cls:
-                if t != rep and t.is_variable:
+                if t != rep:  # a variable: the class's one constant, if any, is rep
                     sub[t] = rep
         return sub
 

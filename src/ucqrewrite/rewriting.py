@@ -30,13 +30,19 @@ def beta(q: ConjunctiveQuery, mu: PieceUnifier) -> ConjunctiveQuery:
     not canonicalized.  q's answer variables are folded into an answer atom
     first, so mu may not merge one with an existential variable, and the
     rewriting keeps them.  u(body) and the checks that do not read q are
-    mu's, computed once."""
+    mu's, computed once.  u keeps q's names (``TermPartition.substitution``):
+    only the atoms with a variable u renames, found through ``q.occurrences``,
+    are rebuilt, and the others are q's own."""
     q = attach_answer_atom(q)
     problems = validate_piece_unifier(q, mu)
     if problems:
         raise ValueError("invalid piece-unifier: " + "; ".join(problems))
-    return ConjunctiveQuery(
-        mu.body_image | apply_to_atoms(mu.partition.substitution, q.atoms - mu.q_part), ())
+    u = mu.partition.substitution
+    rest = q.atoms - mu.q_part
+    touched = [a for v in u if v in q.occurrences for a in q.occurrences[v] if a in rest]
+    if touched:
+        rest = rest.difference(touched).union(apply_to_atoms(u, touched))
+    return ConjunctiveQuery(mu.body_image | rest, ())
 
 
 Operator = Callable[[ConjunctiveQuery, Union[RuleBase, Iterable[ExistentialRule]]],

@@ -371,7 +371,9 @@ def single_piece_unifiers(
 
 
 def aggregate_rules(rules: list[ExistentialRule]) -> ExistentialRule:
-    """Conjoin variable-disjoint rules into one rule."""
+    """Conjoin variable-disjoint rules into one rule; one rule is itself."""
+    if len(rules) == 1:
+        return rules[0]
     seen: set[Term] = set()
     for r in rules:
         rv = r.variables()

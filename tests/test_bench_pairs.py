@@ -120,3 +120,26 @@ def test_a_compare_crash_is_not_recorded_as_a_worse_row(tmp_path):
     with pytest.raises(RuntimeError, match="exited 1"):
         bench_pairs.compare(checkout(tmp_path, "c", benchmark=False) / "bench" / "compare.py",
                             records)
+
+
+def test_a_run_writes_no_bytecode_into_its_checkout(tmp_path, monkeypatch):
+    # with bytecode written, the first run leaves __pycache__ in the checkout
+    # check_checkout found clean, and every later run there loads it
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.setenv("BENCH_PAIRS_PROBE", "kept")
+    seen = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        seen.append(env)
+        results = cwd / "bench" / "results"
+        results.mkdir()
+        (results / bench_pairs.result_name("diamond", 3, 0)).write_text(
+            json.dumps(record("diamond", 3, 0, 0.1)))
+        return bench_pairs.subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    got = bench_pairs.run_bench(checkout(tmp_path, "c"), "diamond", 3, 30, 0)
+    assert got["seed"] == 3
+    (env,) = seen
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert env["BENCH_PAIRS_PROBE"] == "kept"  # the rest of the caller's environment

@@ -61,6 +61,29 @@ def test_associated_substitution_prefers_constants():
     assert rep not in u
 
 
+def test_a_class_with_a_constant_is_represented_by_it():
+    p = TermPartition([{var("__x", 0), var("v", 1), a}, {var("__y", 0), var("v", 2)}])
+    u = p.substitution
+    assert u[var("__x", 0)] == u[var("v", 1)] == a
+    assert a not in u
+
+
+def test_a_class_with_query_variables_is_represented_by_its_least_one():
+    # rule copies' variables take the reserved prefix "__", which sorts before
+    # "v", a canonical query's name, and after "X", a parsed one's
+    mixed = {var("__x", 0), var("__y", 1), var("v", 3), var("v", 1)}
+    u = TermPartition([mixed]).substitution
+    assert set(u) == mixed - {var("v", 1)}
+    assert set(u.values()) == {var("v", 1)}
+    u = TermPartition([{var("__x", 0), var("v", 0), var("X")}]).substitution
+    assert u == {var("__x", 0): var("X"), var("v", 0): var("X")}
+
+
+def test_a_class_of_rule_copy_variables_is_represented_by_its_least_member():
+    u = TermPartition([{var("__y", 0), var("__x", 1), var("__x", 0)}]).substitution
+    assert u == {var("__y", 0): var("__x", 0), var("__x", 1): var("__x", 0)}
+
+
 def test_associated_substitution_rejects_inadmissible():
     with pytest.raises(ValueError):
         TermPartition([{a, b}]).substitution

@@ -90,6 +90,17 @@ def test_beta_folds_the_answer_variables_into_the_rewriting():
     assert got == attach_answer_atom(cq(atom("q", u), answer_vars=(u,)))
 
 
+def test_beta_keeps_the_query_s_names_and_its_untouched_atoms():
+    # the class {u, __x0} is represented by u, so nothing of q is renamed
+    r = rule("h", [atom("a", x)], [atom("b", x)])
+    keep = atom("c", u, w)
+    q = cq(atom("b", u), keep)
+    (mu,) = single_piece_unifiers(q, RuleBase([r]).rules[0].copy(0))
+    got = beta(q, mu)
+    assert got.atoms == {atom("a", u), keep}
+    assert next(a for a in got.atoms if a == keep) is keep
+
+
 @pytest.mark.parametrize("kind", OPERATOR_KINDS)
 def test_operators_keep_the_answer_variables_of_a_non_boolean_query(kind):
     r = rule("r", [atom("q", x)], [atom("p", x, y)])
@@ -129,6 +140,50 @@ def test_operators_call_their_unifier_function_through_the_module(kind, monkeypa
     assert [canonicalize(g) for g in op(cq(atom("p", u, v)), [r])] == [
         canonicalize(cq(atom("q", u)))]
     assert calls
+
+
+def beta_inputs():
+    """(query, rules): the bundled queries over the bundled ontology, and a
+    fixed-seed sample of random linear and multi-atom-head instances."""
+    data = resources.files("ucqrewrite") / "data"
+    rules = parse_document((data / "ontology.dlgp").read_text()).rules
+    out = [(q, rules) for q in parse_document((data / "queries.dlgp").read_text()).queries]
+    rng = random.Random(31)
+    for _ in range(20):
+        linear = random_linear_rules(rng, rng.randint(1, 4), n_preds=3, max_arity=2)
+        out.append((random_query(rng, linear, max_atoms=3, n_vars=3), linear))
+        multi, q = random_multi_head_instance(rng)
+        out.append((q, multi))
+    return out
+
+
+@pytest.mark.parametrize("kind", OPERATOR_KINDS)
+def test_beta_equals_the_substitution_applied_to_the_whole_query(kind):
+    # beta rebuilds only the atoms whose variables the substitution renames;
+    # the reference applies it to every atom of q minus q_part
+    checked = renamed = 0
+    for q0, rules in beta_inputs():
+        base = RuleBase(rules)
+        # the query and its one-step rewritings, canonical as explored queries are
+        queries = [canonicalize(attach_answer_atom(q0))]
+        try:
+            queries += [canonicalize(r) for r in make_operator(kind)(queries[0], base)]
+        except ValueError:  # the full-piece oracle's size caps
+            continue
+        for q in queries:
+            for r in base.unifiable(q):
+                try:
+                    mus = rewriting.UNIFIERS[kind](q, r)
+                except ValueError:
+                    continue
+                for mu in mus:
+                    u = mu.partition.substitution
+                    want = mu.body_image | kb.apply_to_atoms(
+                        u, attach_answer_atom(q).atoms - mu.q_part)
+                    assert beta(q, mu).atoms == want
+                    checked += 1
+                    renamed += any(v in q.occurrences for v in u)
+    assert checked > 250 and renamed > 50
 
 
 def test_two_rule_loop_terminates_with_two_element_cover():

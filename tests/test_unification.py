@@ -656,3 +656,12 @@ def test_rule_base_selects_the_rules_a_scan_of_the_heads_selects(rng):
     q = random_query(rng, random_linear_rules(rng, rng.randint(1, 3)) + rules)
     want = [r for r in rules if any((h.predicate, h.arity) in q.signature for h in r.head)]
     assert [c.rule for c in RuleBase(rules).unifiable(q)] == want
+
+
+def test_one_rule_aggregates_to_itself_and_a_one_member_aggregation_uses_copy_0():
+    r = rule("r", [atom("q", x)], [atom("p", x, y)])
+    assert aggregate_rules([r]) is r
+    compiled = CompiledRule(r)
+    assert compiled.aggregated(1) is compiled.copy(0).rule
+    (agg,) = enumerate_aggregated(cq(atom("p", u, v)), compiled)
+    assert agg.rule is compiled.copy(0).rule
