@@ -207,7 +207,8 @@ def verify_rewriting_set(
     fact base is a counterexample when an answer of q on its bounded chase,
     free of the chase's nulls, is an answer of no cover query on it; a
     Boolean q has the one answer ().  The rewritings are listed in the order
-    ``ucqrewrite rewrite`` prints them.
+    ``ucqrewrite rewrite`` prints them.  q's answer body is matched as a
+    copy, so q itself keeps no view the matching builds.
     """
     rules = list(rules)
     printed = sorted(((query_to_dlgp(strip_answer_atom(qi)), qi) for qi in result.cover),
@@ -232,7 +233,7 @@ def verify_rewriting_set(
 
     if result.terminated:
         rng = random.Random(seed)
-        body = strip_answer_atom(q)
+        body = strip_answer_atom(ConjunctiveQuery(q.atoms, q.answer_vars))
         preds: dict[str, int] = {}
         for r in rules:
             for a in list(r.body) + list(r.head):

@@ -38,12 +38,16 @@ def homomorphisms(
     empties; moving on restores them.  The next atom to match is the unbound
     one with the smallest domain, the first in source order on a tie, and its
     candidates are tried in domain order, so a lone source atom yields its
-    domain in order, without the search.
+    domain in order, without the search.  When every domain holds one
+    candidate, the match is forced: its one map is checked in source order,
+    the order the search would bind it in, and yielded if it holds, without
+    the search.
     """
     plan = source if isinstance(source, MatchPlan) else MatchPlan(source)
     buckets = (target if isinstance(target, AtomIndex) else AtomIndex(target)).buckets
     b = dict(binding or {})
     domains = []
+    forced = True  # every domain so far holds one candidate
     for key, consts, repeats, slots in zip(plan.keys, plan.consts, plan.repeats, plan.slots):
         d = buckets.get(key, ())
         for k, c in consts:
@@ -57,6 +61,7 @@ def homomorphisms(
                     d = [u for u in d if u[2][k] == val]
         if not d:
             return
+        forced = forced and len(d) == 1
         domains.append(d)
     slots = plan.slots
     if len(domains) == 1:  # every atom of the one domain is a match, in order
@@ -66,6 +71,13 @@ def homomorphisms(
             for s, k in new:
                 h[s] = t[2][k]
             yield h
+        return
+    if forced:  # the one candidate map, if it agrees on every shared variable
+        for (t,), atom_slots in zip(domains, slots):
+            for s, k, _ in atom_slots:
+                if b.setdefault(s, t[2][k]) != t[2][k]:
+                    return
+        yield b
         return
     free = list(range(len(domains)))
     # one frame per matched atom: [atom, iterator over its candidates, the slots

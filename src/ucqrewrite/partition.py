@@ -1,7 +1,7 @@
 """Immutable term partitions: the carrier of unification state."""
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, KeysView
 
 from .kb import RESERVED_PREFIX, Substitution, Term, memo, var
 
@@ -30,23 +30,33 @@ def _merge(class_of: dict[Term, frozenset[Term]], group: Iterable[Term]) -> froz
 class TermPartition:
     """Partition of a finite term set: term groups that share a term are merged.
 
-    The partition never changes after construction, so its classes (an
-    unordered set), its carrier and whether it is admissible (no class holds
-    two constants) are computed once, when it is built, and its associated
-    substitution on first use.
+    The partition never changes after construction.  It stores its class map
+    (each term to its class) and whether it is admissible (no class holds two
+    constants), both from one fold over its groups (``_fold``).  Its carrier
+    is the map's live key view, which compares as a set; its classes (an
+    unordered set) and its associated substitution are computed on first use.
     """
 
     def __init__(self, groups: Iterable[Iterable[Term]] = ()):
-        class_of: dict[Term, frozenset[Term]] = {}
-        for group in groups:
-            _merge(class_of, group)
-        self._set(class_of)
-        self.admissible = all(_admissible(c) for c in self.classes)
+        self._fold({}, True, groups)
 
-    def _set(self, class_of: dict[Term, frozenset[Term]]) -> None:
+    def _fold(self, class_of: dict[Term, frozenset[Term]], admissible: bool,
+              groups: Iterable[Iterable[Term]]) -> None:
+        """Merge each group into class_of, which becomes this partition's map.
+        A merge only grows classes, and every class of the map is one a merge
+        returned, so the partition is admissible exactly when admissible holds
+        for the map given and every class a merge returns is: those are the
+        only classes checked."""
+        for group in groups:
+            merged = _merge(class_of, group)
+            admissible = admissible and _admissible(merged)
         self._class_of = class_of
-        self.classes: frozenset[frozenset[Term]] = frozenset(class_of.values())
-        self.carrier: frozenset[Term] = frozenset(class_of)
+        self.admissible = admissible
+        self.carrier: KeysView[Term] = class_of.keys()
+
+    @memo
+    def classes(self) -> frozenset[frozenset[Term]]:
+        return frozenset(self._class_of.values())
 
     @memo
     def substitution(self) -> Substitution:
@@ -84,18 +94,10 @@ class TermPartition:
 def join(p1: TermPartition, p2: TermPartition) -> TermPartition:
     """Union of non-disjoint classes until stability; carrier is the union.
 
-    p2's classes are merged into a copy of p1's class map, one at a time, so
-    only the classes they touch are rebuilt.  A merge only grows classes, so
-    the join is admissible exactly when p1 is and every class a merge
-    returns is: those are the only classes checked."""
-    class_of = dict(p1._class_of)
-    admissible = p1.admissible
-    for c in p2.classes:
-        merged = _merge(class_of, c)
-        admissible = admissible and _admissible(merged)
+    p2's classes are folded into a copy of p1's class map, starting from
+    p1's admissibility, so only the classes they touch are rebuilt or checked."""
     out = TermPartition.__new__(TermPartition)
-    out._set(class_of)
-    out.admissible = admissible
+    out._fold(dict(p1._class_of), p1.admissible, p2.classes)
     return out
 
 

@@ -39,7 +39,10 @@ def beta(q: ConjunctiveQuery, mu: PieceUnifier) -> ConjunctiveQuery:
         raise ValueError("invalid piece-unifier: " + "; ".join(problems))
     u = mu.partition.substitution
     rest = q.atoms - mu.q_part
-    touched = [a for v in u if v in q.occurrences for a in q.occurrences[v] if a in rest]
+    # a query variable u renames is in the partition's carrier, so in q_part;
+    # without one, q.occurrences is not read
+    renamed = {t for a in mu.q_part for t in a.args if t in u}
+    touched = [a for v in renamed for a in q.occurrences[v] if a in rest]
     if touched:
         rest = rest.difference(touched).union(apply_to_atoms(u, touched))
     return ConjunctiveQuery(mu.body_image | rest, ())
@@ -150,11 +153,13 @@ def rewrite(
     per RuleBase: its processed form is kept in ``rules.processed`` and
     shared by every later rewrite over that RuleBase that keeps it.  Answer
     variables are folded into an answer atom first, so every rewriting keeps
-    them.
+    them.  The rewriting starts from a copy of q, so q itself keeps no view
+    (``index``, ``plan`` and the others) that the call would build: a caller
+    that holds many queries holds no engine state on them.
     """
     limits = limits or Limits()
     start = time.monotonic()
-    q0 = process(attach_answer_atom(q))
+    q0 = process(attach_answer_atom(ConjunctiveQuery(q.atoms, q.answer_vars)))
     rules = compile_rules(rules, q0)
     qf: dict[ConjunctiveQuery, None] = {q0: None}  # the result set, in insertion order
     qe: list[ConjunctiveQuery] = [q0]
@@ -218,9 +223,10 @@ def saturate(
     """Un-pruned k-saturation: every rewriting reachable in at most depth steps.
 
     Deduplicates by canonical form only; no cores, no cover maintenance.
-    The rules are taken as ``rewrite`` takes them.
+    The rules are taken as ``rewrite`` takes them, and q is copied first, as
+    there.
     """
-    q0 = canonicalize(attach_answer_atom(q))
+    q0 = canonicalize(attach_answer_atom(ConjunctiveQuery(q.atoms, q.answer_vars)))
     rules = compile_rules(rules, q0)
     seen: set[ConjunctiveQuery] = {q0}
     frontier = [q0]

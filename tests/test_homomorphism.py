@@ -385,6 +385,29 @@ def test_search_yields_what_the_reference_matcher_yields_in_its_order(src, targe
     assert [list(h.items()) for h in homomorphisms(src, AtomIndex(target), binding)] == expected
 
 
+@pytest.mark.parametrize("src, target, binding, found", [
+    # every source atom has one candidate, and they disagree on y
+    ([atom("p", x, y), atom("q", y, z)], [atom("p", a, b), atom("q", a, c)], {}, 0),
+    ([atom("q", y, z), atom("p", x, y)], [atom("p", a, b), atom("q", a, c)], {}, 0),
+    # the binding leaves one candidate of p's two, and it disagrees with q's
+    ([atom("p", x, y), atom("q", y, z)],
+     [atom("p", a, b), atom("p", b, a), atom("q", a, c)], {x: a}, 0),
+    # a third atom agrees with the first on x and with the second on z, not on u
+    ([atom("p", x, y), atom("q", y, z), atom("r", x, z, u), atom("s", u)],
+     [atom("p", a, b), atom("q", b, c), atom("r", a, c, a), atom("s", b)], {}, 0),
+    # the one map, without and with a binding of a variable it also binds
+    ([atom("p", x, y), atom("q", y, z)], [atom("p", a, b), atom("q", b, c)], {}, 1),
+    ([atom("q", y, z), atom("p", x, y)],
+     [atom("p", a, b), atom("p", b, b), atom("q", b, c)], {x: a, w: c}, 1),
+])
+def test_a_forced_match_yields_what_the_reference_matcher_yields(src, target, binding, found):
+    expected = [list(h.items()) for h in reference_homomorphisms(src, target, binding)]
+    assert len(expected) == found
+    assert [list(h.items()) for h in homomorphisms(src, target, binding)] == expected
+    assert [list(h.items()) for h in homomorphisms(MatchPlan(src), AtomIndex(target),
+                                                   binding)] == expected
+
+
 def test_atom_index_without_leaves_the_index_and_other_buckets_alone():
     index = AtomIndex([atom("p", a), atom("p", b), atom("q", a)])
     masked = index.without(atom("p", a))

@@ -37,6 +37,19 @@ def test_join_merges_overlapping_classes():
     assert j.carrier == {x, y, z, w}
 
 
+def test_join_leaves_both_partitions_as_they_were():
+    # a partition's carrier is a live view of its class map: join merges into a copy
+    p1 = TermPartition([{x, y}, {a}])
+    p2 = TermPartition([{y, z}, {w, b}])
+    carriers = [set(p1.carrier), set(p2.carrier)]
+    j = join(p1, p2)
+    assert j.carrier == {x, y, z, w, a, b} and j.class_of(x) == {x, y, z}
+    assert [set(p1.carrier), set(p2.carrier)] == carriers
+    assert p1.classes == {frozenset({x, y}), frozenset({a})}
+    assert p2.classes == {frozenset({y, z}), frozenset({w, b})}
+    assert p1.class_of(y) == {x, y} and p2.class_of(y) == {y, z}
+
+
 def test_admissibility():
     assert TermPartition([{x, a}, {y, b}]).admissible
     assert not TermPartition([{x, a, b}]).admissible
@@ -169,3 +182,15 @@ def test_partition_is_the_components_of_its_groups(g1, g2):
     assert all(j.class_of(t) == whole.class_of(t) for t in whole.carrier)
     assert j.admissible == whole.admissible
     assert substitution_or_error(j) == substitution_or_error(whole)
+
+
+@given(groups, groups)
+def test_join_changes_neither_partition(g1, g2):
+    p1, p2 = TermPartition(g1), TermPartition(g2)
+    p2.classes  # one side's classes read before the join, the other's after
+    before = [(set(p.carrier), p.admissible) for p in (p1, p2)]
+    join(p1, p2)
+    assert [(set(p.carrier), p.admissible) for p in (p1, p2)] == before
+    assert p1.classes == components(g1) and p2.classes == components(g2)
+    assert_stored_facts_hold(p1)
+    assert_stored_facts_hold(p2)

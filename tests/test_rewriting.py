@@ -31,6 +31,7 @@ from ucqrewrite import (
     saturate,
     single_piece_unifiers,
     var,
+    verify_rewriting_set,
 )
 from ucqrewrite.dlgp import printed_cover
 from ucqrewrite.kb import (
@@ -99,6 +100,21 @@ def test_beta_keeps_the_query_s_names_and_its_untouched_atoms():
     got = beta(q, mu)
     assert got.atoms == {atom("a", u), keep}
     assert next(a for a in got.atoms if a == keep) is keep
+
+
+def test_beta_builds_no_occurrences_when_the_unifier_renames_no_query_variable():
+    r = rule("h", [atom("a", x)], [atom("b", x)])
+    q = cq(atom("b", u), atom("c", u, w))
+    (mu,) = single_piece_unifiers(q, RuleBase([r]).rules[0].copy(0))
+    beta(q, mu)
+    assert "occurrences" not in vars(q)
+    # t meets the existential y, so b(u,t) and b(v,t) are one piece: the
+    # class {u, v, __x0} is represented by u, and v is renamed in c(v,w) too
+    q = cq(atom("b", u, t), atom("b", v, t), atom("c", v, w))
+    r = rule("h2", [atom("a", x)], [atom("b", x, y)])
+    (mu,) = single_piece_unifiers(q, RuleBase([r]).rules[0].copy(0))
+    assert beta(q, mu).atoms == {atom("a", u), atom("c", u, w)}
+    assert "occurrences" in vars(q)
 
 
 @pytest.mark.parametrize("kind", OPERATOR_KINDS)
@@ -743,3 +759,23 @@ def test_interleaved_queries_and_operators_over_one_rule_list_match_fresh_rules(
     assert want[n][1] > 1  # refused at the second level, not the first
     assert 0 < len(copies) < fresh_copies
     assert 0 < len(processed) < fresh_processed
+
+
+@pytest.mark.parametrize("answer_vars", [(), (u,)])
+def test_rewrite_saturate_and_verify_keep_no_view_on_the_caller_s_query(answer_vars):
+    # a caller that holds many queries holds no engine state on them: each
+    # entry point works on a copy of the query it is given
+    rules = [rule("r1", [atom("p", x)], [atom("q", x, y)]),
+             rule("r2", [atom("s", x, y)], [atom("p", x)])]
+    q = cq(atom("q", u, v), answer_vars=answer_vars)
+    views = {name for name, attr in vars(kb.ConjunctiveQuery).items()
+             if isinstance(attr, kb.memo)}
+    op = make_operator("aggregated")
+    res = rewrite(q, rules, op)
+    saturate(q, rules, op, 2)
+    verify_rewriting_set(q, rules, res, samples=5)
+    assert {"index", "plan", "occurrences", "signature"} <= views
+    assert not views & set(vars(q))
+    head = "?(X0)" if answer_vars else "?"
+    assert printed_cover(res) == [f"{head} :- p(X0).", f"{head} :- q(X0,X1).",
+                                  f"{head} :- s(X0,X1)."]
