@@ -150,10 +150,15 @@ def find_homomorphism(
     return next(homomorphisms(source, target, binding), None)
 
 
-def more_general(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
-    """q1 >= q2: q1 maps homomorphically into q2 (on ans-augmented forms)."""
-    return find_homomorphism(attach_answer_atom(q1).plan,
-                             attach_answer_atom(q2).index) is not None
+def more_general(q1: ConjunctiveQuery, q2: ConjunctiveQuery, *,
+                 binding: Optional[Substitution] = None) -> bool:
+    """q1 >= q2: q1 maps homomorphically into q2 (on ans-augmented forms), by
+    a map that extends binding when one is given.  Without a binding, q1's
+    atoms a subset of q2's are decided by the identity, without the search."""
+    s, t = attach_answer_atom(q1), attach_answer_atom(q2)
+    if binding is None and s.atoms <= t.atoms:
+        return True
+    return find_homomorphism(s.plan, t.index, binding) is not None
 
 
 def equivalent(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:

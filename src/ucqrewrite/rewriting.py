@@ -61,28 +61,60 @@ UNIFIERS = {
 OPERATOR_KINDS = tuple(UNIFIERS)
 
 
-def make_operator(kind: str) -> Operator:
+class RewritingOperator:
     """One-step rewriting: beta over each unifier of kind, each with its rule copy.
 
-    The operator takes the rules as a RuleBase, or as rules, which go
-    through ``compile_rules``, as its docstring says.  A query's answer
-    variables are folded into an answer atom first, as ``rewrite`` does, so
-    every rewriting keeps them.  A query with variables in the reserved
-    namespace, such as a raw rewriting, is rewritten in its canonical form,
-    as it may share variables with the rule copies.
+    Called on a query and the rules, it returns the rewritings; ``steps``
+    gives the unifier each one comes from too.  The operator takes the rules
+    as a RuleBase, or as rules, which go through ``compile_rules``, as its
+    docstring says.  A query's answer variables are folded into an answer
+    atom first, as ``rewrite`` does, so every rewriting keeps them.  A query
+    with variables in the reserved namespace, such as a raw rewriting, is
+    rewritten in its canonical form, as it may share variables with the rule
+    copies.
     """
-    unifiers = UNIFIERS.get(kind)
-    if unifiers is None:
-        raise ValueError(f"unknown operator kind {kind!r}")
 
-    def op(q, rules):
+    def __init__(self, kind: str):
+        unifiers = UNIFIERS.get(kind)
+        if unifiers is None:
+            raise ValueError(f"unknown operator kind {kind!r}")
+        self._unifiers = unifiers
+
+    def steps(self, q: ConjunctiveQuery, rules: Union[RuleBase, Iterable[ExistentialRule]]
+              ) -> tuple[ConjunctiveQuery, list[tuple[PieceUnifier, ConjunctiveQuery]]]:
+        """(the form of q that beta receives, each (unifier, rewriting) pair
+        in the order the rewritings are made)."""
         q = attach_answer_atom(q)
         if any(v.name.startswith(RESERVED_PREFIX) for v in q.variables()):
             q = canonicalize(q)
         base = compile_rules(rules, q)
-        return [beta(q, mu) for r in base.unifiable(q) for mu in unifiers(q, r)]
+        unifiers = self._unifiers
+        return q, [(mu, beta(q, mu)) for r in base.unifiable(q) for mu in unifiers(q, r)]
 
-    return op
+    def __call__(self, q, rules) -> list[ConjunctiveQuery]:
+        return [x for _, x in self.steps(q, rules)[1]]
+
+
+def make_operator(kind: str) -> RewritingOperator:
+    """The one-step rewriting operator of kind, one of ``OPERATOR_KINDS``."""
+    return RewritingOperator(kind)
+
+
+def maps_into_rewriting(q: ConjunctiveQuery, mu: PieceUnifier, x: ConjunctiveQuery) -> bool:
+    """Whether q >= x = beta(q, mu) is shown by a map that is mu's substitution
+    u on q minus q_part: q_part maps into x by a map that extends u on the
+    variables q_part shares with the rest of q.  beta puts u(q minus q_part)
+    in x, so the two maps together send q into x.  q is the form beta
+    received; only q_part is searched."""
+    if not mu.part_signature <= x.signature:
+        return False
+    part, u, occurrences, q_part = mu.part_query, mu.partition.substitution, q.occurrences, mu.q_part
+    binding = {}
+    for slots in part.plan.slots:
+        for v, _, _ in slots:
+            if v not in binding and not occurrences[v] <= q_part:
+                binding[v] = u.get(v, v)
+    return more_general(part, x, binding=binding)
 
 
 @dataclass
@@ -148,7 +180,11 @@ def rewrite(
     docstring says.  The cover sees each distinct raw rewriting once per
     call, at the first level that makes it: a query leaves the result set
     only for one that is >= it, so the result set still covers each raw
-    rewriting decided before, and the cover would drop it again.  Each raw
+    rewriting decided before, and the cover would drop it again.  A fresh
+    raw rewriting x of an operator with ``steps`` is dropped before the cover
+    when ``maps_into_rewriting`` shows that its explored query is >= it: that
+    query is in the result set the cover starts from, so the cover would
+    drop x too, and x changes none of its other decisions.  Each raw
     rewriting the cover keeps is processed as it enters the result set, once
     per RuleBase: its processed form is kept in ``rules.processed`` and
     shared by every later rewrite over that RuleBase that keeps it.  Answer
@@ -170,22 +206,26 @@ def rewrite(
     # keep its cached views alive; rules.processed is keyed alike
     seen: set[tuple] = set()
     processed = rules.processed
+    steps = getattr(op, "steps", None)
 
     while qe:
         if limits.max_depth is not None and depth >= limits.max_depth:
             break
-        raw: list[ConjunctiveQuery] = []
-        for cur in qe:
-            raw.extend(op(cur, rules))
-        generated += len(raw)
-        explored += len(qe)
-        # copies are fixed per rule, so equal raw rewritings coincide here
         fresh = []
-        for x in raw:
-            key = x.atoms, x.answer_vars
-            if key not in seen:
-                seen.add(key)
-                fresh.append(x)
+        for cur in qe:
+            if steps is None:
+                source, made = None, [(None, x) for x in op(cur, rules)]
+            else:
+                source, made = steps(cur, rules)
+            generated += len(made)
+            for mu, x in made:
+                # copies are fixed per rule, so equal raw rewritings coincide here
+                key = x.atoms, x.answer_vars
+                if key not in seen:
+                    seen.add(key)
+                    if mu is None or not maps_into_rewriting(source, mu, x):
+                        fresh.append(x)
+        explored += len(qe)
         qc = cover(explored=qf, fresh=fresh)
         qe = []
         for x in fresh:

@@ -30,8 +30,9 @@ class PieceUnifier:
     depend on the query is a memo view, computed once, on first use: the
     variables that must be non-separating (``ex_vars``), whether the
     partition has the piece-unifier shape (``shaped``), the validity checks
-    that do not read the query (``checks``) and u(rule.body)
-    (``body_image``).  The associated substitution is the partition's.
+    that do not read the query (``checks``), u(rule.body) (``body_image``)
+    and q_part's signature and q_part as a query (``part_signature``,
+    ``part_query``).  The associated substitution is the partition's.
     Copies and compiled rules share a unifier among queries, so it is
     immutable."""
 
@@ -93,6 +94,18 @@ class PieceUnifier:
     def body_image(self) -> frozenset[Atom]:
         """u(rule.body), the query-independent half of a one-step rewriting."""
         return apply_to_atoms(self.partition.substitution, self.rule.body)
+
+    @memo
+    def part_signature(self) -> frozenset[tuple[str, int]]:
+        """The (predicate, arity) pairs of q_part, which q_part maps into a
+        query only if its signature holds (``ConjunctiveQuery.signature``)."""
+        return frozenset([(a[0], a[1]) for a in self.q_part])
+
+    @memo
+    def part_query(self) -> ConjunctiveQuery:
+        """q_part as a Boolean query, whose match plan serves every test of
+        q_part against a rewriting (``rewriting.maps_into_rewriting``)."""
+        return ConjunctiveQuery(self.q_part)
 
     def cutpoints(self) -> frozenset[Term]:
         """Unified query variables not merged with an existential variable."""

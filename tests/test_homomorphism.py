@@ -536,3 +536,14 @@ def test_more_general_builds_one_plan_per_non_boolean_query(monkeypatch):
     assert verdicts[:9] == [True, True, True, False, True, False, False, False, True]
     assert len(built) == 3
     assert attach_answer_atom(qs[0]) is attach_answer_atom(qs[0])
+
+
+@pytest.mark.parametrize("named", [lambda i: var(f"V{i}"), lambda i: var("V", i)])
+def test_a_query_maps_into_itself_and_an_equal_copy_by_the_identity_without_a_search(named):
+    vs = [named(i) for i in range(401)]
+    q = ConjunctiveQuery(frozenset(atom("r", vs[i], vs[i + 1]) for i in range(400)))
+    copy = ConjunctiveQuery(frozenset(atom("r", vs[i], vs[i + 1]) for i in range(400)))
+    for target in (q, copy):
+        start = time.perf_counter()
+        assert more_general(q, target)
+        assert time.perf_counter() - start < 0.05
