@@ -105,16 +105,15 @@ def maps_into_rewriting(q: ConjunctiveQuery, mu: PieceUnifier, x: ConjunctiveQue
     u on q minus q_part: q_part maps into x by a map that extends u on the
     variables q_part shares with the rest of q.  beta puts u(q minus q_part)
     in x, so the two maps together send q into x.  q is the form beta
-    received; only q_part is searched."""
+    received; only q_part is searched, and not even that when u fixes the
+    map on every variable of q_part."""
     if not mu.part_signature <= x.signature:
         return False
-    part, u, occurrences, q_part = mu.part_query, mu.partition.substitution, q.occurrences, mu.q_part
-    binding = {}
-    for slots in part.plan.slots:
-        for v, _, _ in slots:
-            if v not in binding and not occurrences[v] <= q_part:
-                binding[v] = u.get(v, v)
-    return more_general(part, x, binding=binding)
+    u, occurrences, q_part = mu.partition.substitution, q.occurrences, mu.q_part
+    binding = {v: u.get(v, v) for v in mu.part_vars if not occurrences[v] <= q_part}
+    if len(binding) == len(mu.part_vars):
+        return apply_to_atoms(binding, q_part) <= x.atoms
+    return more_general(mu.part_query, x, binding=binding)
 
 
 @dataclass

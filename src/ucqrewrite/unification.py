@@ -31,8 +31,8 @@ class PieceUnifier:
     variables that must be non-separating (``ex_vars``), whether the
     partition has the piece-unifier shape (``shaped``), the validity checks
     that do not read the query (``checks``), u(rule.body) (``body_image``)
-    and q_part's signature and q_part as a query (``part_signature``,
-    ``part_query``).  The associated substitution is the partition's.
+    and q_part's variables, its signature and q_part as a query
+    (``part_vars``, ``part_signature``, ``part_query``).  The associated substitution is the partition's.
     Copies and compiled rules share a unifier among queries, so it is
     immutable."""
 
@@ -68,7 +68,7 @@ class PieceUnifier:
         ex = self.rule.existentials
         if ex.isdisjoint(self.partition.carrier):
             return True
-        return self.ex_vars <= vars_of(self.q_part) and all(
+        return self.ex_vars <= self.part_vars and all(
             len(cls & ex) < 2 for cls in self.partition.classes)
 
     @memo
@@ -96,6 +96,11 @@ class PieceUnifier:
         return apply_to_atoms(self.partition.substitution, self.rule.body)
 
     @memo
+    def part_vars(self) -> frozenset[Term]:
+        """The variables of q_part."""
+        return vars_of(self.q_part)
+
+    @memo
     def part_signature(self) -> frozenset[tuple[str, int]]:
         """The (predicate, arity) pairs of q_part, which q_part maps into a
         query only if its signature holds (``ConjunctiveQuery.signature``)."""
@@ -111,7 +116,7 @@ class PieceUnifier:
         """Unified query variables not merged with an existential variable."""
         ex = self.rule.existentials
         out = set()
-        for v in vars_of(self.q_part):
+        for v in self.part_vars:
             if not any(t in ex for t in self.partition.class_of(v)):
                 out.add(v)
         return frozenset(out)

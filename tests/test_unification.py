@@ -289,7 +289,8 @@ def test_a_copy_s_memoized_unifier_is_immutable_and_computes_each_view_once():
             setattr(mu, f.name, getattr(mu, f.name))
     fresh = RuleCopy(copy.rule).unifier(mu.choice)
     views = sorted(n for n, attr in vars(PieceUnifier).items() if isinstance(attr, memo))
-    assert views == ["body_image", "checks", "ex_vars", "part_query", "part_signature", "shaped"]
+    assert views == ["body_image", "checks", "ex_vars", "part_query", "part_signature", "part_vars",
+                     "shaped"]
     for name in views:
         first = getattr(fresh, name)
         assert getattr(fresh, name) is first and vars(fresh)[name] is first
