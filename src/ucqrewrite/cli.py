@@ -1,9 +1,9 @@
 """Command line front end: rewrite, verify and compare workflows.
 
-Exit codes: 0 success, 1 usage, parse, validation or file error, 2 guard
-fired (partial output), 3 verification or cross-operator check failure, 141
-standard output closed before the output was written (the status a shell
-reports for a process that SIGPIPE ended).
+Exit codes: 0 success, 1 usage, parse, validation or file error, 2 a guard
+left queries unexplored (partial output), 3 a verification or cross-operator
+check failed, whether or not a guard fired, 141 standard output closed before
+the output was written (the status a shell reports when SIGPIPE ends a process).
 """
 from __future__ import annotations
 
@@ -76,14 +76,14 @@ def _run(args, rules, query, operator: str):
                    debug_invariants=args.debug_invariants)
 
 
-def cmd_rewrite(args) -> int:
+def cmd_rewrite(args) -> tuple[bool, list[bool]]:
     rules, query = _load(args)
     result = _run(args, rules, query, args.operator)
     sys.stdout.write(serialize(result, "json" if args.json else "dlgp"))
-    return 0 if result.terminated else 2
+    return False, [result.terminated]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[bool, list[bool]]:
     rules, query = _load(args)
     result = _run(args, rules, query, args.operator)
     extra = None
@@ -95,10 +95,10 @@ def cmd_verify(args) -> int:
                                   seed=args.seed, extra_facts=extra)
     print(json.dumps(report, indent=2))
     ok = report["sound"] and report["minimal"] and report["complete_sampled"] is not False
-    return 0 if ok else 3
+    return not ok, [result.terminated]
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> tuple[bool, list[bool]]:
     operators = _operators(args.operators)
     rules, query = _load(args)
     rows = []
@@ -132,14 +132,12 @@ def cmd_compare(args) -> int:
                 print(f"{row['operator']:<14}{row['output']:>8}{row['generated']:>11}"
                       f"{row['depth']:>7}{row['time']:>8}  {note}")
     # sound+complete operators must agree on the cover cardinality
-    complete = [r for r in rows
-                if r.get("terminated") and r["operator"] in ("full-piece", "aggregated")]
-    sizes = {r["output"] for r in complete}
-    if len(sizes) > 1:
+    mismatch = len({r["output"] for r in rows if r.get("terminated")
+                    and r["operator"] in ("full-piece", "aggregated")}) > 1
+    if mismatch:
         print("cover cardinality mismatch across sound+complete operators",
               file=sys.stderr)
-        return 3
-    return 0
+    return mismatch, [r["terminated"] for r in rows if "terminated" in r]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,9 +182,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as e:  # a usage error exits 1, not 2 (a guard fired)
         return 1 if e.code else 0
     try:
-        status = args.func(args)
+        # each command returns whether a check failed, and whether each rewrite terminated
+        failed, terminated = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
-        return status
+        return 3 if failed else 0 if all(terminated) else 2
     except BrokenPipeError:  # the reader left, e.g. `ucqrewrite verify ... | head`
         _discard_stdout()
         return BROKEN_PIPE

@@ -23,7 +23,6 @@ from .kb import (
     Atom,
     ConjunctiveQuery,
     ExistentialRule,
-    RESERVED_PREFIX,
     Term,
     canonicalize,
     const,
@@ -133,7 +132,7 @@ class _Parser:
 
     def atom(self) -> Atom:
         tok = self.next()
-        if tok.kind == "reserved" or tok.text.startswith(RESERVED_PREFIX):
+        if tok.kind == "reserved":
             raise DlgpError(f"reserved predicate {tok.text!r} not allowed", tok.span)
         if tok.kind != "lident":
             raise DlgpError(f"expected a predicate, found {tok.text!r}", tok.span)

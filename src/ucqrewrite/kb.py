@@ -19,6 +19,7 @@ ANS_PREDICATE = "__ans"
 AUX_PREFIX = "__aux_"
 NULL_PREFIX = "__n"
 RESERVED_PREFIX = "__"
+CANONICAL_NAME = "v"  # the name of canonicalize's variables, told apart by index
 
 
 _RANKS = {CONSTANT: False, VARIABLE: True}
@@ -372,7 +373,7 @@ def strip_answer_atom(q: ConjunctiveQuery) -> ConjunctiveQuery:
 
 def _codes(rows: list, col: list[int]) -> list[tuple]:
     """Each row's sort key with every variable i renamed v<col[i]>."""
-    return [(p, len(args), tuple([(1, "v", col[t]) if t.__class__ is int else t
+    return [(p, len(args), tuple([(1, CANONICAL_NAME, col[t]) if t.__class__ is int else t
                                   for t in args])) for p, args in rows]
 
 
@@ -452,6 +453,6 @@ def canonicalize(q: ConjunctiveQuery) -> ConjunctiveQuery:
             inverse = sorted(range(n), key=best.__getitem__)
             automorphisms.append([inverse[c] for c in child])
             del stack[next(k for k, (a, b) in enumerate(zip(path, best_path)) if a != b) + 1:]
-    names = {v: Term(VARIABLE, "v", best[i]) for i, v in enumerate(vs)}
+    names = {v: Term(VARIABLE, CANONICAL_NAME, best[i]) for i, v in enumerate(vs)}
     return ConjunctiveQuery(apply_to_atoms(names, q.atoms),
                             tuple(names.get(t, t) for t in q.answer_vars))

@@ -20,6 +20,7 @@ from .unification import (
     compile_rules,
     enumerate_aggregated,
     general_piece_unifiers,
+    separating,
     single_piece_unifiers,
     validate_piece_unifier,
 )
@@ -95,9 +96,8 @@ class RewritingOperator:
         return [x for _, x in self.steps(q, rules)[1]]
 
 
-def make_operator(kind: str) -> RewritingOperator:
-    """The one-step rewriting operator of kind, one of ``OPERATOR_KINDS``."""
-    return RewritingOperator(kind)
+# the one-step rewriting operator of kind, one of OPERATOR_KINDS
+make_operator = RewritingOperator
 
 
 def maps_into_rewriting(q: ConjunctiveQuery, mu: PieceUnifier, x: ConjunctiveQuery) -> bool:
@@ -109,10 +109,10 @@ def maps_into_rewriting(q: ConjunctiveQuery, mu: PieceUnifier, x: ConjunctiveQue
     map on every variable of q_part."""
     if not mu.part_signature <= x.signature:
         return False
-    u, occurrences, q_part = mu.partition.substitution, q.occurrences, mu.q_part
-    binding = {v: u.get(v, v) for v in mu.part_vars if not occurrences[v] <= q_part}
+    u = mu.partition.substitution
+    binding = {v: u.get(v, v) for v in separating(q, mu.q_part, mu.part_vars)}
     if len(binding) == len(mu.part_vars):
-        return apply_to_atoms(binding, q_part) <= x.atoms
+        return apply_to_atoms(binding, mu.q_part) <= x.atoms
     return more_general(mu.part_query, x, binding=binding)
 
 

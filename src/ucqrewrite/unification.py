@@ -25,14 +25,15 @@ from .partition import TermPartition, finer_than, join
 class PieceUnifier:
     """Unifies a query subset with a rule-head subset through a term partition.
 
-    An aggregation of unifiers over renamed rule copies is one too, over
-    their aggregated rule, with its members in ``members``.  What does not
-    depend on the query is a memo view, computed once, on first use: the
-    variables that must be non-separating (``ex_vars``), whether the
-    partition has the piece-unifier shape (``shaped``), the validity checks
-    that do not read the query (``checks``), u(rule.body) (``body_image``)
-    and q_part's variables, its signature and q_part as a query
-    (``part_vars``, ``part_signature``, ``part_query``).  The associated substitution is the partition's.
+    An aggregation of two or more unifiers over renamed rule copies is one
+    too, over their aggregated rule, with them in ``merged``; ``members`` is
+    ``merged``, or the unifier alone, the aggregation of one piece.  What
+    does not depend on the query is a memo view, computed once, on first
+    use: the variables that must be non-separating (``ex_vars``), whether
+    the partition has the piece-unifier shape (``shaped``), the checks that
+    do not read the query (``checks``), u(rule.body) (``body_image``) and
+    q_part's variables, signature and query (``part_vars``,
+    ``part_signature``, ``part_query``).  The substitution is the partition's.
     Copies and compiled rules share a unifier among queries, so it is
     immutable."""
 
@@ -43,7 +44,11 @@ class PieceUnifier:
     # the (query atom, head position) pairs, when built by a RuleCopy
     choice: tuple = ()
     # the merged unifiers, in copy order, when built by CompiledRule.aggregation
-    members: tuple[PieceUnifier, ...] = ()
+    merged: tuple[PieceUnifier, ...] = ()
+
+    @property
+    def members(self) -> tuple[PieceUnifier, ...]:
+        return self.merged or (self,)
 
     @memo
     def ex_vars(self) -> frozenset[Term]:
@@ -127,8 +132,8 @@ class PieceUnifier:
         return f"PieceUnifier([{qp}], [{hp}], {self.partition})"
 
 
-def _separating(q: ConjunctiveQuery, part: frozenset[Atom],
-                variables: Iterable[Term]) -> list[Term]:
+def separating(q: ConjunctiveQuery, part: frozenset[Atom],
+               variables: Iterable[Term]) -> list[Term]:
     """The variables that also occur in an atom of q outside part."""
     if not variables:  # q's occurrences are then not built
         return []
@@ -147,7 +152,7 @@ def validate_piece_unifier(q: ConjunctiveQuery, mu: PieceUnifier) -> list[str]:
     problems += before
     if after is None:
         return problems
-    if not mu.shaped or _separating(q, mu.q_part, mu.ex_vars):
+    if not mu.shaped or separating(q, mu.q_part, mu.ex_vars):
         problems.append(
             "class with an existential variable contains a term other than "
             "a non-separating query variable"
@@ -206,8 +211,8 @@ class RuleCopy:
 
 
 class CompiledRule:
-    """One rule's copies, copy k built on first use, the conjunction of
-    copies 0..m-1 for each member count m used, and each aggregation tried."""
+    """One rule's copies, copy k built on first use, and for m >= 2 members
+    the conjunction of copies 0..m-1 and each aggregation tried."""
 
     def __init__(self, rule: ExistentialRule):
         self.rule = rule
@@ -233,32 +238,30 @@ class CompiledRule:
     def aggregation(self, choices: tuple) -> Optional[PieceUnifier]:
         """The unifiers of choices[k] on copy k, for each k, merged into one
         over the aggregated rule, with them as its members; None when their
-        query parts overlap or the joined partition is not admissible.
-        Memoized by the choices, a failure too.  Nothing here reads a query:
-        whether the result is valid for one is beta's to check.
+        query parts overlap or the joined partition is not admissible.  One
+        choice is its unifier on copy 0 itself.  Memoized by the choices, a
+        failure too.  Nothing here reads a query: whether the result is valid
+        for one is beta's to check.
 
         An aggregation of m >= 2 members extends the aggregation of its first
-        m - 1 choices, itself memoized here, by its last member: one overlap
-        test and one join.  A failed prefix fails every extension, as its
-        parts overlap or its partition is not admissible, and a join only
-        merges more classes."""
+        m - 1 choices by its last member: one overlap test and one join.  A
+        failed prefix fails every extension, as its parts overlap or its
+        partition is not admissible, and a join only merges more classes."""
+        m = len(choices)
+        if m == 1:
+            return self.copy(0).unifier(choices[0])
         try:
             return self._aggregations[choices]
         except KeyError:
-            m = len(choices)
+            agg = None
             member = self.copy(m - 1).unifier(choices[-1])
-            if m == 1:
-                agg = PieceUnifier(member.q_part, member.h_part, member.partition,
-                                   self.aggregated(1), members=(member,))
-            else:
-                agg = None
-                prefix = self.aggregation(choices[:-1])
-                if prefix is not None and prefix.q_part.isdisjoint(member.q_part):
-                    joined = join(prefix.partition, member.partition)
-                    if joined.admissible:
-                        agg = PieceUnifier(prefix.q_part | member.q_part,
-                                           prefix.h_part | member.h_part, joined,
-                                           self.aggregated(m), members=prefix.members + (member,))
+            prefix = self.aggregation(choices[:-1])
+            if prefix is not None and prefix.q_part.isdisjoint(member.q_part):
+                joined = join(prefix.partition, member.partition)
+                if joined.admissible:
+                    agg = PieceUnifier(prefix.q_part | member.q_part,
+                                       prefix.h_part | member.h_part, joined,
+                                       self.aggregated(m), merged=prefix.members + (member,))
             self._aggregations[choices] = agg
             return agg
 
@@ -292,14 +295,14 @@ class RuleBase:
         return [self.rules[i] for i in sorted(hits)]
 
     def in_vocabulary(self, q: ConjunctiveQuery) -> bool:
-        """Whether each term of q is a canonical variable (``v`` with an index,
-        as ``kb.canonicalize`` names them) or a constant of the rules.
+        """Whether each term of q is a canonical variable (``kb.CANONICAL_NAME``
+        with an index, as canonicalize names them) or a constant of the rules.
 
         A rewriting's constants are its query's and the rules', so the
         canonical rewritings of such a query are in the vocabulary too, and
         the choices they make are bounded by the rules and the query sizes."""
         return all(t in self.constants if t.is_constant
-                   else t.name == "v" and t.fresh_index is not None
+                   else t.name == kb.CANONICAL_NAME and t.fresh_index is not None
                    for a in q.atoms for t in a.args)
 
 
@@ -371,7 +374,7 @@ def single_piece_unifiers(
                 continue
             part = mu.q_part
             # sticky: separating and in a class with an existential variable
-            sticky = _separating(q, part, mu.ex_vars)
+            sticky = separating(q, part, mu.ex_vars)
             if not sticky:
                 out.append(mu)
                 if atomic:
@@ -389,9 +392,7 @@ def single_piece_unifiers(
 
 
 def aggregate_rules(rules: list[ExistentialRule]) -> ExistentialRule:
-    """Conjoin variable-disjoint rules into one rule; one rule is itself."""
-    if len(rules) == 1:
-        return rules[0]
+    """Conjoin variable-disjoint rules into one rule."""
     seen: set[Term] = set()
     for r in rules:
         rv = r.variables()
@@ -410,17 +411,17 @@ def enumerate_aggregated(
     """Every compatible aggregation of single-piece unifiers, depth first.
 
     The pieces are searched once, on copy 0, by least atom; a renamed copy
-    has the same.
-    Member slot k is its unifier's choice over copy k, memoized there, so
-    the members are pairwise variable-disjoint; copy k is built when a
-    (k+1)-member candidate is first tried.  An aggregation of m members uses
-    the aggregated rule over copies 0..m-1.  Each aggregation, keyed by its
-    members' choices, is built once per CompiledRule and shared by every
-    query that reaches it.  A plain rule is compiled here.  Each subset of
-    the pieces is tried once, in preorder, from an explicit stack: a nested
-    recursive function would refer to itself through its closure, a cycle
-    that keeps the compiled rule alive until the cycle collector runs.
-    """
+    has the same.  Member slot k is its unifier's choice over copy k,
+    memoized there, so the members are pairwise variable-disjoint; copy k is
+    built when a (k+1)-member candidate is first tried.  A one-member
+    aggregation is the piece's unifier on copy 0, which
+    ``single_piece_unifiers`` returns, and one of m >= 2 members is over the
+    aggregated rule of copies 0..m-1, built once per CompiledRule and shared
+    by every query that reaches it.  A plain rule is compiled here.  Each
+    subset of the pieces is tried once, in preorder, from an explicit stack:
+    a nested recursive function would refer to itself through its closure,
+    a cycle that keeps the compiled rule alive until the cycle collector
+    runs."""
     compiled = rule if isinstance(rule, CompiledRule) else CompiledRule(rule)
     base = single_piece_unifiers(q, compiled.copy(0))
     out: list[PieceUnifier] = []

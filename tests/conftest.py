@@ -112,7 +112,7 @@ def reference_aggregate(members: list[PieceUnifier]) -> PieceUnifier | None:
     joined = TermPartition(classes)
     return PieceUnifier(frozenset(taken), frozenset(a for m in members for a in m.h_part),
                         joined, aggregate_rules([m.rule for m in members]),
-                        members=tuple(members))
+                        merged=tuple(members))
 
 
 def random_linear_rules(

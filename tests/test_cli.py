@@ -130,6 +130,21 @@ def test_guard_exit_code(capsys, tmp_path):
     assert json.loads(out)["stats"]["terminated"] is False
 
 
+@pytest.mark.parametrize("command", ["verify", "compare"])
+def test_verify_and_compare_exit_2_on_a_partial_run(capsys, tmp_path, command):
+    rules = write(tmp_path, "tc.dlgp",
+                  "[r1] t(X,Y) :- e(X,Y).\n[r2] t(X,Z) :- e(X,Y), t(Y,Z).\n")
+    query = write(tmp_path, "q.dlgp", "?(U,V) :- t(U,V).\n")
+    code, out, _ = run(capsys, command, "--rules", rules, "--query", query,
+                       "--max-depth", "2", *(("--json",) if command == "compare" else ()))
+    assert code == 2
+    if command == "compare":
+        assert [row["terminated"] for row in json.loads(out)] == [False, False]
+    else:
+        report = json.loads(out)
+        assert report["sound"] and report["minimal"]
+
+
 def test_a_guard_crossed_on_the_last_level_is_not_a_partial_run(capsys, tmp_path):
     # p <- q <- p: the level that generates the 2nd raw rewriting empties the frontier
     rules = write(tmp_path, "loop.dlgp", "[r1] p(X) :- q(X).\n[r2] q(X) :- p(X).\n")

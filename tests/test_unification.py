@@ -5,6 +5,7 @@ import json
 import random
 import sys
 from dataclasses import FrozenInstanceError, fields
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -659,10 +660,38 @@ def test_rule_base_selects_the_rules_a_scan_of_the_heads_selects(rng):
     assert [c.rule for c in RuleBase(rules).unifiable(q)] == want
 
 
-def test_one_rule_aggregates_to_itself_and_a_one_member_aggregation_uses_copy_0():
+def test_a_one_member_aggregation_is_the_single_piece_unifier_on_copy_0():
     r = rule("r", [atom("q", x)], [atom("p", x, y)])
-    assert aggregate_rules([r]) is r
     compiled = CompiledRule(r)
-    assert compiled.aggregated(1) is compiled.copy(0).rule
-    (agg,) = enumerate_aggregated(cq(atom("p", u, v)), compiled)
+    q = cq(atom("p", u, v))
+    (agg,) = enumerate_aggregated(q, compiled)
+    (mu,) = single_piece_unifiers(q, compiled.copy(0))
+    assert agg is mu and agg.members == (agg,)
     assert agg.rule is compiled.copy(0).rule
+
+
+def test_each_piece_is_one_unifier_under_both_operators():
+    data = resources.files("ucqrewrite") / "data"
+    rules = parse_document((data / "ontology.dlgp").read_text()).rules
+    inputs = [(attach_answer_atom(q), r)
+              for q in parse_document((data / "queries.dlgp").read_text()).queries
+              for r in rules]
+    for n in (4, 5, 6):
+        doc = parse_document(workloads.diamond_text(n))
+        inputs.append((attach_answer_atom(doc.queries[0]), doc.rules[0]))
+    singles = merged = 0
+    for q, r in inputs:
+        compiled = CompiledRule(r)
+        aggs = enumerate_aggregated(q, compiled)
+        base = single_piece_unifiers(q, compiled.copy(0))
+        for agg in aggs:
+            if len(agg.members) == 1:
+                assert any(agg is mu for mu in base) and agg.members == (agg,)
+                singles += 1
+                continue
+            choices = tuple(m.choice for m in agg.members)
+            prefix = compiled.aggregation(choices[:-1])
+            last = compiled.copy(len(choices) - 1).unifier(choices[-1])
+            assert agg.members == prefix.members + (last,)
+            merged += 1
+    assert singles > 0 and merged > 0
